@@ -248,7 +248,7 @@ class VerificationReport:
         }
 
 
-def _merge_routes(report, name, degree, by_route):
+def _merge_routes(report, name, degree, by_route, started):
     """One record out of per-route values; pass iff they all agree."""
     values = list(by_route.values())
     agree = all(v == values[0] for v in values)
@@ -259,6 +259,7 @@ def _merge_routes(report, name, degree, by_route):
         degree=degree,
         expected=values[0] if agree else None,
         routes=list(by_route),
+        started=started,
     )
 
 
@@ -267,8 +268,9 @@ def _merge_routes(report, name, degree, by_route):
 
 
 def cmd_axioms(op, report, max_degree=8):
+    # the axioms are decided in one computation, so each record carries its time
+    started = time.monotonic()
     for name, result in operator_axiom_report(op, max_degree=max_degree):
-        started = time.monotonic()
         report.add(
             f"axioms/{name}",
             computed="holds" if result.ok else f"violated at {result.witness}",
@@ -299,17 +301,7 @@ def cmd_dims(op, report, key, max_degree, budget):
     for n in range(max_degree + 1):
         started = time.monotonic()
         by_route = _dims_by_route(op, algebra, key, n, budget)
-        values = list(by_route.values())
-        agree = all(v == values[0] for v in values)
-        report.add(
-            f"dims/{label}",
-            computed=by_route,
-            ok=agree,
-            degree=n,
-            expected=values[0] if agree else None,
-            routes=list(by_route),
-            started=started,
-        )
+        _merge_routes(report, f"dims/{label}", n, by_route, started)
 
 
 def cmd_poincare(op, report, max_degree, budget):
@@ -317,6 +309,7 @@ def cmd_poincare(op, report, max_degree, budget):
     s_alg = algebra_by_key(op, "s")
     require_budget(op.d ** (n_p + 1), budget, f"degree {n_p + 1} of {s_alg.label}")
 
+    started = time.monotonic()
     s_dims = [graded_dimension(s_alg, n) for n in range(n_p + 2)]
     p_series = p_sequence_from_s(PowerSeries([Fraction(x) for x in s_dims]), n_p)
     if op.specialized_at is None:
@@ -326,6 +319,7 @@ def cmd_poincare(op, report, max_degree, budget):
             "poincare/p-sequence",
             None,
             {"direct-rank": [str(x) for x in p_vals], "formula": [str(x) for x in p_series]},
+            started,
         )
     else:
         # at a pinned p the q -> 1 trace route is gone; the series route
@@ -336,21 +330,24 @@ def cmd_poincare(op, report, max_degree, budget):
             "poincare/p-sequence",
             None,
             {"formula": [str(x) for x in p_series]},
+            started,
         )
 
     e_alg = algebra_by_key(op, "e")
     e_formula = poincare_E(p_vals, max_degree)
     b_formula = b_sequence(p_vals, max_degree)
     for n in range(max_degree + 1):
+        started = time.monotonic()
         by_route = {"formula": int(e_formula[n])}
         if e_alg.generators**n <= budget:
             by_route["direct-rank"] = graded_dimension(e_alg, n)
-        _merge_routes(report, "poincare/e-dimension", n, by_route)
+        _merge_routes(report, "poincare/e-dimension", n, by_route, started)
     for n in range(max_degree + 1):
+        started = time.monotonic()
         by_route = {"formula": int(b_formula[n])}
         if e_alg.generators**n <= budget:
             by_route["direct-rank"] = dual_graded_dimension(e_alg, n)
-        _merge_routes(report, "poincare/b-dimension", n, by_route)
+        _merge_routes(report, "poincare/b-dimension", n, by_route, started)
 
     if op.specialized_at is None:
         started = time.monotonic()
@@ -439,7 +436,7 @@ def cmd_schur(op, report, degree, budget):
             "centralizer": centralizer_dimension(op, degree),
             "direct-rank": graded_dimension(e_alg, degree),
         }
-        _merge_routes(report, "schur/dimension-two-routes", degree, by_route)
+        _merge_routes(report, "schur/dimension-two-routes", degree, by_route, started)
 
     started = time.monotonic()
     bic = bicommutant_check(op, degree)

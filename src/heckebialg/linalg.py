@@ -9,6 +9,19 @@ Subspaces are kept in reduced row echelon form, which is unique, so
 subspace equality is literal row equality.  Sums stack and re-echelonize;
 intersections use the Zassenhaus doubled-block trick (no inner products,
 exactness preserved).
+
+The elimination kernel (``echelonize``, ``Subspace.reduce_vector``) costs
+what the nonzeros it touches cost, not the rank, by two invariants:
+
+* stored rows are fully reduced, so clearing a pivot from a row brings in
+  no other pivot, and a row needs clearing only at the pivot columns it
+  holds when it arrives, found by a lookup from pivot column to row;
+* the back-elimination of a new pivot column visits only the stored rows
+  that hold that column, found by an index from each non-pivot column to
+  the rows that may hold it.
+
+Both visit their rows in ascending pivot order, the order of a full scan,
+so the exact operations performed do not depend on the lookups.
 """
 
 from fractions import Fraction
@@ -157,70 +170,54 @@ class Matrix:
         return Matrix(self.rows * rr, self.cols * rc, data)
 
     def inverse(self):
-        """Gauss-Jordan inverse; raises ValueError when singular."""
+        """Inverse from the reduced echelon form of [M | I].
+
+        M is invertible exactly when the pivots are the columns of M; the
+        right block of the basis is then the inverse.  Raises ValueError
+        when M is singular.
+        """
         assert self.rows == self.cols
         n = self.rows
-        work = [dict(r) for r in self.data]
-        aug = [dict() for _ in range(n)]
         # take the multiplicative unit from the entries themselves so the
         # routine works over Scalars and Fractions alike
         sample = next((v for r in self.data for v in r.values()), None)
         one = ONE if sample is None else sample**0
-        for i in range(n):
-            aug[i][i] = one
-        pivot_of_col = {}
-        for i in range(n):
-            row, rhs = work[i], aug[i]
-            if not row:
-                raise ValueError("matrix is singular")
-            col = min(row)
-            inv = one / row.pop(col)
-            for j in list(row):
-                row[j] = row[j] * inv
-            for j in list(rhs):
-                rhs[j] = rhs[j] * inv
-            row[col] = one
-            pivot_of_col[col] = i
-            # Jordan step: clear the pivot column from every other row now,
-            # so no row ever holds an established pivot column
-            for k in range(n):
-                if k == i:
-                    continue
-                f = work[k].get(col)
-                if f is None:
-                    continue
-                del work[k][col]
-                _row_axpy(work[k], -f, row, skip=col)
-                _row_axpy(aug[k], -f, rhs)
-        # rows of the inverse, ordered by pivot column
-        data = [None] * n
-        for col, i in pivot_of_col.items():
-            data[col] = aug[i]
-        return Matrix(n, n, data)
+        ech = echelonize([{**row, n + i: one} for i, row in enumerate(self.data)], 2 * n)
+        if ech.pivots != tuple(range(n)):
+            raise ValueError("matrix is singular")
+        return Matrix(n, n, [{j - n: v for j, v in row.items() if j >= n} for row in ech.basis])
 
 
 def _row_axpy(target, factor, source, skip=None):
-    """target += factor * source, dropping zeros; 'skip' omits one column."""
+    """target += factor * source, dropping zeros; 'skip' omits one column.
+
+    factor must be nonzero: a fill-in is then a product of nonzeros.
+    """
+    get = target.get
     for j, v in source.items():
         if j == skip:
             continue
-        cur = target.get(j)
-        s = factor * v if cur is None else cur + factor * v
+        cur = get(j)
+        if cur is None:
+            target[j] = factor * v
+            continue
+        s = cur + factor * v
         if s:
             target[j] = s
-        elif cur is not None:
+        else:
             del target[j]
 
 
 class Subspace:
     """A subspace of k^ambient held as unique reduced row echelon basis."""
 
-    __slots__ = ("ambient", "basis", "pivots")
+    __slots__ = ("ambient", "basis", "pivots", "_row_of")
 
     def __init__(self, ambient, basis, pivots):
         self.ambient = ambient
         self.basis = basis  # tuple of row dicts, pivot entries are exact ones
         self.pivots = pivots  # tuple of pivot columns, increasing
+        self._row_of = None  # pivot column -> basis row, built on first reduction
 
     @property
     def dim(self):
@@ -248,11 +245,12 @@ class Subspace:
     def reduce_vector(self, vec):
         """Remainder of a row vector after reduction by this basis."""
         vec = {j: v for j, v in vec.items() if v}
-        for p, row in zip(self.pivots, self.basis):
-            f = vec.get(p)
-            if f is not None:
-                del vec[p]
-                _row_axpy(vec, -f, row, skip=p)
+        row_of = self._row_of
+        if row_of is None:
+            row_of = self._row_of = dict(zip(self.pivots, self.basis))
+        # the basis is fully reduced: only the pivots vec holds now need clearing
+        for p in sorted(row_of.keys() & vec.keys()):
+            _row_axpy(vec, -vec.pop(p), row_of[p], skip=p)
         return vec
 
     def contains_vector(self, vec):
@@ -269,41 +267,49 @@ class Subspace:
 
 
 def echelonize(rows, ambient):
-    """Reduced row echelon Subspace spanned by the given sparse rows."""
-    pivots = []  # increasing pivot columns
-    prows = []  # matching rows
+    """Reduced row echelon Subspace spanned by the given sparse rows.
+
+    Two invariants keep the cost with the nonzeros touched:
+
+    * stored rows are fully reduced, so an incoming row is cleared, in one
+      ascending pass, at exactly the pivot columns it holds on arrival;
+    * the back-elimination of a new pivot column visits only the stored
+      rows that hold it, in ascending pivot order.  ``holders`` maps each
+      non-pivot column to the pivots of the rows that may hold it: a row
+      is entered on every fill-in and never taken out on cancellation, so
+      the index may name a row that no longer holds the column, or name it
+      twice, but never misses one.
+    """
+    row_of = {}  # pivot column -> its row, pivot entry an exact one
+    holders = {}  # non-pivot column -> pivot columns of the rows that may hold it
     for raw in rows:
         vec = {j: v for j, v in raw.items() if v}
-        # one pass in pivot order suffices: stored rows are fully reduced,
-        # so reductions only introduce entries at non-pivot columns
-        for idx, p in enumerate(pivots):
-            f = vec.get(p)
-            if f is not None:
-                del vec[p]
-                _row_axpy(vec, -f, prows[idx], skip=p)
+        for p in sorted(row_of.keys() & vec.keys()):
+            _row_axpy(vec, -vec.pop(p), row_of[p], skip=p)
         if not vec:
             continue
         col = min(vec)
-        inv = None
         lead = vec.pop(col)
         one = lead**0
         if lead != one:
             inv = one / lead
-            for j in list(vec):
+            for j in vec:
                 vec[j] = vec[j] * inv
+        for j in vec:
+            holders.setdefault(j, []).append(col)
         vec[col] = one
-        # eliminate the new pivot column from existing rows
-        for idx, row in enumerate(prows):
-            f = row.get(col)
-            if f is not None:
-                del row[col]
-                _row_axpy(row, -f, vec, skip=col)
-        at = 0
-        while at < len(pivots) and pivots[at] < col:
-            at += 1
-        pivots.insert(at, col)
-        prows.insert(at, vec)
-    return Subspace(ambient, tuple(prows), tuple(pivots))
+        for p in sorted(holders.pop(col, ())):
+            row = row_of[p]
+            if col not in row:
+                continue
+            # the columns the row lacks all fill in (products of nonzeros)
+            fills = vec.keys() - row.keys()
+            _row_axpy(row, -row.pop(col), vec, skip=col)
+            for j in fills:
+                holders[j].append(p)
+        row_of[col] = vec
+    pivots = tuple(sorted(row_of))
+    return Subspace(ambient, tuple(row_of[p] for p in pivots), pivots)
 
 
 def subspace_sum(u, w):

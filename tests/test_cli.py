@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -119,6 +120,21 @@ def test_axioms_pass():
     assert run(["axioms", "--builtin", "superflip:1|1"]) == 0
 
 
+def test_axioms_elapsed_covers_the_computation(tmp_path, monkeypatch):
+    import heckebialg.cli as cli
+
+    computed = cli.operator_axiom_report
+
+    def slow_report(*args, **kwargs):
+        time.sleep(0.02)
+        return computed(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "operator_axiom_report", slow_report)
+    out = str(tmp_path / "r.json")
+    assert run(["axioms", "--builtin", "dj:2", "-o", out]) == 0
+    assert all(c["elapsed"] >= 0.02 for c in read_report(out)["checks"])
+
+
 def test_requires_exactly_one_source(capsys):
     assert run(["axioms"]) == 2
     assert "exactly one" in capsys.readouterr().err
@@ -166,6 +182,14 @@ def test_poincare_dj2(tmp_path):
         c["expected"] for c in doc["checks"] if c["name"] == "poincare/e-dimension"
     ]
     assert e_vals == [1, 4, 10, 20, 35]
+    # records merged from several routes carry the time of their computation
+    merged = [
+        c
+        for c in doc["checks"]
+        if c["name"] == "poincare/p-sequence"
+        or (c["name"] in ("poincare/e-dimension", "poincare/b-dimension") and c["degree"] >= 2)
+    ]
+    assert merged and all(c["elapsed"] > 0 for c in merged)
     jsonschema.validate(doc, report_schema())
 
 
@@ -225,6 +249,7 @@ def test_schur_specialized_runs_two_routes(tmp_path):
     doc = read_report(out)
     names = [c["name"] for c in doc["checks"]]
     assert "schur/dimension-two-routes" in names
+    assert all(c["elapsed"] > 0 for c in doc["checks"] if c["name"] == "schur/dimension-two-routes")
     assert "schur/dimension-three-routes" not in names
     assert "@p=3/2" in doc["operator"]
 

@@ -19,9 +19,12 @@ from heckebialg.linalg import (
     lift_rows,
     lift_to_position,
     specialize_matrix,
+    specialize_rows,
     subspace_intersect,
     subspace_sum,
 )
+from heckebialg.qalg import build_e
+from heckebialg.rmatrix import dj_r_matrix
 
 
 def rand_matrix(rng, rows, cols, density=0.4, symbolic=False):
@@ -43,6 +46,48 @@ def rand_matrix(rng, rows, cols, density=0.4, symbolic=False):
 
 def rand_subspace(rng, ambient, nrows, symbolic=False):
     return echelonize(rand_matrix(rng, nrows, ambient, symbolic=symbolic).data, ambient)
+
+
+def sparse_rows(rng, nrows, ambient, per_row=4):
+    """Sparse Fraction rows on a few clustered columns, some of them dependent."""
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.25:
+            # a combination of earlier rows keeps the rank below the row count
+            row = {}
+            for src in rng.sample(rows, min(2, len(rows))):
+                c = Fraction(rng.choice((-3, -1, 1, 2)))
+                for j, v in src.items():
+                    row[j] = row.get(j, 0) + c * v
+            rows.append({j: v for j, v in row.items() if v})
+            continue
+        base = rng.randrange(ambient)
+        cols = {(base + rng.randrange(16)) % ambient for _ in range(per_row)}
+        rows.append({j: Fraction(rng.choice((-2, -1, 1, 3))) for j in cols})
+    return rows
+
+
+def dense_rref(rows, ambient):
+    """Dense Gauss-Jordan over Fractions, independent of the sparse kernel.
+
+    Returns (pivots, basis rows as dicts), the same shape as a Subspace.
+    """
+    mat = [[Fraction(r.get(j, 0)) for j in range(ambient)] for r in rows]
+    pivots = []
+    for col in range(ambient):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if pick is None:
+            continue
+        mat[r], mat[pick] = mat[pick], mat[r]
+        inv = 1 / mat[r][col]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            f = mat[i][col]
+            if i != r and f:
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+    return tuple(pivots), [{j: v for j, v in enumerate(mat[i]) if v} for i in range(len(pivots))]
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +153,24 @@ def test_inverse_symbolic():
     m = Matrix.from_rows([[Q, ONE], [ZERO, P]])
     inv = m.inverse()
     assert m * inv == Matrix.identity(2)
+    rng = random.Random(61)
+    for _ in range(4):
+        m = rand_matrix(rng, 5, 5, density=0.5, symbolic=True) + Matrix.identity(5).scale(Q)
+        try:
+            inv = m.inverse()
+        except ValueError:
+            continue
+        assert m * inv == Matrix.identity(5)
+        assert inv * m == Matrix.identity(5)
+
+
+def test_inverse_rejects_singular_symbolic():
+    # det = p^2 - q vanishes identically, though no entry or row is zero
+    with pytest.raises(ValueError, match="singular"):
+        Matrix.from_rows([[P, Q], [ONE, P]]).inverse()
+    # the last row is the sum of the first two
+    with pytest.raises(ValueError, match="singular"):
+        Matrix.from_rows([[P, Q, ONE], [ONE, P, ZERO], [P + 1, Q + P, ONE]]).inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +193,75 @@ def test_echelon_is_canonical():
             for other in again.basis:
                 if other is not row:
                     assert p not in other
+
+
+def test_echelonize_matches_dense_oracle():
+    rng = random.Random(71)
+    for ambient in (64, 96, 128, 192, 256):
+        rows = sparse_rows(rng, 40, ambient)
+        ech = echelonize(rows, ambient)
+        pivots, basis = dense_rref(rows, ambient)
+        assert ech.pivots == pivots
+        assert list(ech.basis) == basis
+
+
+def test_echelonize_ignores_row_order_and_scale():
+    rng = random.Random(72)
+    for ambient in (64, 160, 256):
+        rows = sparse_rows(rng, 48, ambient)
+        ech = echelonize(rows, ambient)
+        moved = []
+        for r in rows:
+            c = Fraction(rng.choice((-5, -1, 2, 7)), 3)
+            moved.append({j: v * c for j, v in r.items()})
+        rng.shuffle(moved)
+        assert echelonize(moved, ambient) == ech
+
+
+def test_echelonize_symbolic_relations_match_specialized_oracle():
+    algebra = build_e(dj_r_matrix(2))
+    m, n = algebra.generators, 3
+    rows = []
+    for i in range(1, n):
+        rows.extend(lift_rows(algebra.relations.basis, i, n, m))
+    ech = echelonize(rows, m**n)
+    assert 0 < ech.dim < m**n
+    # a generic point: the rank and every pivot survive specialization
+    x = Fraction(5, 7)
+    pivots, basis = dense_rref(specialize_rows(rows, x), m**n)
+    assert ech.pivots == pivots
+    assert specialize_rows(ech.basis, x) == basis
+
+
+def test_reduce_vector_agrees_with_sum_dimension():
+    rng = random.Random(73)
+    outcomes = set()
+    for trial in range(12):
+        symbolic = trial % 3 == 0
+        w = rand_subspace(rng, 9, 5, symbolic=symbolic)
+        if trial % 2:
+            # a subspace of w, from combinations of its basis
+            combos = []
+            for _ in range(3):
+                row = {}
+                for src in rng.sample(list(w.basis), min(2, w.dim)):
+                    c = Fraction(rng.choice((-2, 1, 3)))
+                    for j, v in src.items():
+                        row[j] = row.get(j, ZERO if symbolic else Fraction(0)) + c * v
+                combos.append(row)
+            u = echelonize(combos, 9)
+        else:
+            u = rand_subspace(rng, 9, 3, symbolic=symbolic)
+        outcomes.add(u.is_subspace_of(w))
+        assert u.is_subspace_of(w) == (subspace_sum(u, w).dim == w.dim)
+        for vec in u.basis:
+            rest = w.reduce_vector(vec)
+            assert (not rest) == (subspace_sum(echelonize([vec], 9), w).dim == w.dim)
+            # the remainder holds no pivot of w and differs from vec by a member of w
+            assert not set(rest) & set(w.pivots)
+            diff = {j: vec.get(j, 0) - rest.get(j, 0) for j in vec.keys() | rest.keys()}
+            assert w.contains_vector(diff)
+    assert outcomes == {True, False}
 
 
 def test_rank_nullity():
