@@ -3,9 +3,10 @@
 Matrices go over the wire as JSON with every entry a canonical scalar
 string, so exactness survives serialization.  Reports are JSON documents
 listing one record per check; the process exits 0 exactly when every
-check passed.  Ambient dimensions are guarded by an explicit budget
-(``--max-dim`` or the HBL_MAX_AMBIENT variable, default 4096): oversized
-requests are refused with an error, never silently truncated.
+check passed, and a run that would make no check is refused.  Ambient
+dimensions are guarded by an explicit budget (``--max-dim`` or the
+HBL_MAX_AMBIENT variable, default 4096): oversized requests are refused
+with an error, never silently truncated.
 """
 
 import argparse
@@ -43,7 +44,6 @@ from .rmatrix import (
 from .schur import (
     bicommutant_check,
     centralizer_dimension,
-    multiplicities,
     schur_dimension_check,
 )
 
@@ -174,7 +174,10 @@ def ambient_budget(args):
     limit = getattr(args, "max_dim", None)
     if limit is None:
         env = os.environ.get("HBL_MAX_AMBIENT")
-        limit = int(env) if env else DEFAULT_BUDGET
+        try:
+            limit = int(env) if env else DEFAULT_BUDGET
+        except ValueError:
+            raise CLIError(f"HBL_MAX_AMBIENT must be an integer, got {env!r}") from None
     if limit < 1:
         raise CLIError("the ambient budget must be positive")
     return limit
@@ -514,43 +517,41 @@ def _parser():
     return parser
 
 
-def _operator_descriptor(op):
-    if op.specialized_at is None:
-        return op.name
-    return op.name  # the specialize() constructor already appended @p=...
-
-
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise CLIError(f"cannot write the report to {args.out}: no such directory")
         op = resolve_operator(args)
         budget = ambient_budget(args)
         params = {}
         report = None
         if args.command == "axioms":
             params = {"max_degree": args.max_degree}
-            report = VerificationReport("axioms", _operator_descriptor(op), params)
+            report = VerificationReport("axioms", op.name, params)
             cmd_axioms(op, report, max_degree=args.max_degree)
         elif args.command == "dims":
             params = {"algebra": args.algebra, "max_degree": args.max_degree}
-            report = VerificationReport("dims", _operator_descriptor(op), params)
+            report = VerificationReport("dims", op.name, params)
             cmd_dims(op, report, args.algebra.lower(), args.max_degree, budget)
         elif args.command == "poincare":
             params = {"max_degree": args.max_degree}
-            report = VerificationReport("poincare", _operator_descriptor(op), params)
+            report = VerificationReport("poincare", op.name, params)
             cmd_poincare(op, report, args.max_degree, budget)
         elif args.command == "koszul":
             params = {"algebra": args.algebra, "degree": args.degree, "cap": args.cap}
-            report = VerificationReport("koszul", _operator_descriptor(op), params)
+            report = VerificationReport("koszul", op.name, params)
             cmd_koszul(op, report, args.algebra.lower(), args.degree, args.cap, budget)
         elif args.command == "schur":
             params = {"degree": args.degree}
-            report = VerificationReport("schur", _operator_descriptor(op), params)
+            report = VerificationReport("schur", op.name, params)
             cmd_schur(op, report, args.degree, budget)
         elif args.command == "report":
             params = {"max_degree": args.max_degree, "cap": args.cap}
-            report = VerificationReport("report", _operator_descriptor(op), params)
+            report = VerificationReport("report", op.name, params)
             cmd_report(op, report, args.max_degree, args.cap, budget)
+        if not report.checks:
+            raise CLIError("these parameters give no checks to run")
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -561,9 +562,13 @@ def main(argv=None):
     print(f"{report.command} {report.operator}: {state}")
 
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report.to_document(), fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.out, "w") as fh:
+                json.dump(report.to_document(), fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write the report to {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     return 0 if report.ok else 1
 
 

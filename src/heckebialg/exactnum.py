@@ -461,14 +461,19 @@ def scalar(x):
     return Scalar(x)
 
 
-def q_int(n):
-    """[n]_q = 1 + q + ... + q^(n-1) with q = p^2; [0]_q = 0."""
+def q_int(n, q=Q):
+    """[n]_q = 1 + q + ... + q^(n-1), by default with q = p^2; [0]_q = 0."""
     if n < 0:
         raise ValueError("q_int needs n >= 0")
-    coeffs = [0] * (2 * n)
+    if q is Q:
+        coeffs = [0] * (2 * n)
+        for k in range(n):
+            coeffs[2 * k] = 1
+        return Scalar._make(_ptrim(coeffs), _PONE)
+    out = ZERO
     for k in range(n):
-        coeffs[2 * k] = 1
-    return Scalar._make(_ptrim(coeffs), _PONE)
+        out = out + q**k
+    return out
 
 
 def q_fact(n):

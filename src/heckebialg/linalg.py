@@ -429,8 +429,8 @@ def lift_rows(basis_rows, i, n, d):
 
 
 # ---------------------------------------------------------------------------
-# specialization at a rational point (advisory fast path; symbolic stays
-# authoritative everywhere a verdict is produced)
+# specialization at a rational point, for HeckeOperator.specialize (the
+# ``--specialize`` option); the lattice and dimension checks stay symbolic
 
 
 def specialize_scalar(value, x):

@@ -19,6 +19,7 @@ from .exactnum import (
     ONE,
     PowerSeries,
     Scalar,
+    q_int,
     rf_eval_at_one,
     series_exp_integral,
     series_log_derivative,
@@ -33,7 +34,6 @@ __all__ = [
     "t_specialize_p_from_operator",
     "CharacterRecursionReport",
     "verify_character_recursion",
-    "DimensionTable",
 ]
 
 
@@ -144,16 +144,10 @@ def verify_character_recursion(op, max_degree):
     for n in range(1, max_degree + 1):
         s.append(character(op, n, symmetrizer(n, op.q)))
 
-    def q_integer(n):
-        acc = ONE * 0
-        for i in range(n):
-            acc = acc + op.q**i
-        return acc
-
     rows = []
     all_ok = True
     for n in range(1, max_degree + 1):
-        lhs = q_integer(n) * s[n]
+        lhs = q_int(n, op.q) * s[n]
         rhs = s[0] * 0
         for k in range(n):
             rhs = rhs + p[k] * s[n - 1 - k]
@@ -178,69 +172,3 @@ def verify_character_recursion(op, max_degree):
         naive_p0_fails=naive_fails,
         note=note,
     )
-
-
-# ---------------------------------------------------------------------------
-# dimension bookkeeping with provenance
-
-
-_TAGS = ("direct-rank", "formula", "both-agree")
-
-
-@dataclass
-class DimensionTable:
-    """Graded dimensions with a provenance tag per entry."""
-
-    label: str
-    entries: list
-    provenance: list
-
-    def __post_init__(self):
-        if len(self.entries) != len(self.provenance):
-            raise ValueError("one provenance tag per entry")
-        if self.entries and self.entries[0] != 1:
-            raise ValueError("degree-zero entry must be 1")
-        for x in self.entries:
-            if x != int(x) or x < 0:
-                raise ValueError(f"entries must be nonnegative integers, got {x!r}")
-        for t in self.provenance:
-            if t not in _TAGS:
-                raise ValueError(f"unknown provenance tag {t!r}")
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, n):
-        return self.entries[n]
-
-    @classmethod
-    def from_routes(cls, label, direct=None, formula=None):
-        """Merge per-degree values; any disagreement raises."""
-        if direct is None and formula is None:
-            raise ValueError("need at least one route")
-        size = max(len(direct or ()), len(formula or ()))
-        entries, tags = [], []
-        for n in range(size):
-            dv = direct[n] if direct is not None and n < len(direct) else None
-            fv = formula[n] if formula is not None and n < len(formula) else None
-            if dv is not None and fv is not None:
-                if dv != fv:
-                    raise ValueError(
-                        f"{label}: routes disagree at degree {n}: "
-                        f"direct-rank {dv} vs formula {fv}"
-                    )
-                entries.append(int(dv))
-                tags.append("both-agree")
-            elif dv is not None:
-                entries.append(int(dv))
-                tags.append("direct-rank")
-            else:
-                entries.append(int(fv))
-                tags.append("formula")
-        return cls(label, entries, tags)
-
-    def __str__(self):
-        cells = ", ".join(
-            f"{v}[{t}]" for v, t in zip(self.entries, self.provenance)
-        )
-        return f"{self.label}: {cells}"

@@ -15,22 +15,19 @@ the degree-n component of the quadratic dual is their intersection.
 
 ``distributivity_check`` decides the lattice criterion for Koszulness: the
 subspace lattice generated by the shifted relation spaces must be
-distributive.  The closure is certified symbolically throughout; a random
-rational specialization of p is used only to rank candidate identities, and
-the sandwich certificate (containment row-reductions plus the modular
-dimension law) replaces most eliminations.
+distributive.  The closure is computed symbolically throughout: a
+comparable pair of members is settled by one containment row-reduction,
+and every other pair by one exact sum and one exact intersection.
 """
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import (
     Matrix,
     Subspace,
     echelonize,
     lift_rows,
-    specialize_rows,
     subspace_intersect,
     subspace_sum,
 )
@@ -212,19 +209,15 @@ class DistributivityReport:
 class _Lattice:
     """Closure of subspaces under sum and intersection, fully certified.
 
-    Every table entry is backed either by an honest echelon computation or
-    by the sandwich certificate: if members m and g satisfy u, w <= m,
-    g <= u, g <= w and dim m + dim g = dim u + dim w, then m = u + w and
-    g = u cap w (the modular law pins both dimensions at once).  The
-    specialized shadow only proposes which members to try.
+    Every table entry is backed by exact symbolic row-reduction: a
+    comparable pair is settled by one containment check (the larger member
+    is the sum, the smaller the meet); any other pair gets one honest
+    ``subspace_sum`` and one honest ``subspace_intersect``.
     """
 
-    def __init__(self, ambient, shadow_point):
-        self.ambient = ambient
+    def __init__(self):
         self.members = []
-        self.shadow = [] if shadow_point is not None else None
         self.by_shape = {}
-        self.shadow_point = shadow_point
         self.sum_table = {}
         self.meet_table = {}
         self.honest_ops = 0
@@ -239,33 +232,7 @@ class _Lattice:
         idx = len(self.members)
         self.members.append(sub)
         self.by_shape.setdefault(key, []).append(idx)
-        if self.shadow is not None:
-            try:
-                rows = specialize_rows(sub.basis, self.shadow_point)
-                self.shadow.append(echelonize(rows, self.ambient))
-            except ZeroDivisionError:
-                self.shadow = None  # pole at the sample point: drop the advisor
         return idx
-
-    def _shadow_pair(self, i, j):
-        if self.shadow is None:
-            return None, None
-        return (
-            subspace_sum(self.shadow[i], self.shadow[j]),
-            subspace_intersect(self.shadow[i], self.shadow[j]),
-        )
-
-    def _find_shadow_match(self, shadow_sub):
-        if self.shadow is None:
-            return []
-        return [
-            k
-            for k, sh in enumerate(self.shadow)
-            if sh.dim == shadow_sub.dim and sh == shadow_sub
-        ]
-
-    def _contains(self, big, small):
-        return self.members[small].is_subspace_of(self.members[big])
 
     def resolve_pair(self, i, j):
         """Fill sum_table and meet_table at the unordered pair (i, j)."""
@@ -277,87 +244,21 @@ class _Lattice:
             self.meet_table[key] = i
             return
         u, w = self.members[i], self.members[j]
-        di, dj = u.dim, w.dim
-        sh_sum, sh_meet = self._shadow_pair(i, j)
-
-        # comparable pair: one containment settles both entries
-        if sh_sum is None or sh_sum.dim == dj:
-            if di <= dj and self._contains(j, i):
-                self.certified_ops += 2
-                self.sum_table[key] = j
-                self.meet_table[key] = i
-                return
-        if sh_sum is None or sh_sum.dim == di:
-            if dj <= di and self._contains(i, j):
-                self.certified_ops += 2
-                self.sum_table[key] = i
-                self.meet_table[key] = j
-                return
-
-        # sandwich certificate from existing members
-        sum_cands = self._find_shadow_match(sh_sum) if sh_sum is not None else []
-        meet_cands = self._find_shadow_match(sh_meet) if sh_meet is not None else []
-        for m in sum_cands:
-            for g in meet_cands:
-                if self.members[m].dim + self.members[g].dim != di + dj:
-                    continue
-                if (
-                    self._contains(m, i)
-                    and self._contains(m, j)
-                    and self._contains(i, g)
-                    and self._contains(j, g)
-                ):
-                    self.certified_ops += 2
-                    self.sum_table[key] = m
-                    self.meet_table[key] = g
-                    return
-
-        # one honest elimination, then certify the other side if possible
-        if sum_cands and not meet_cands:
-            meet = subspace_intersect(u, w)
-            self.honest_ops += 1
-            g = self.add(meet)
-            target = di + dj - meet.dim
-            for m in sum_cands:
-                if self.members[m].dim == target and self._contains(m, i) and self._contains(m, j):
-                    self.certified_ops += 1
-                    self.sum_table[key] = m
-                    self.meet_table[key] = g
-                    return
-            s = self.add(subspace_sum(u, w))
-            self.honest_ops += 1
-            self.sum_table[key] = s
-            self.meet_table[key] = g
+        small, big = (i, j) if u.dim <= w.dim else (j, i)
+        if self.members[small].is_subspace_of(self.members[big]):
+            self.certified_ops += 2
+            self.sum_table[key] = big
+            self.meet_table[key] = small
             return
-
-        total = subspace_sum(u, w)
-        self.honest_ops += 1
-        s = self.add(total)
-        target = di + dj - total.dim
-        for g in meet_cands:
-            if self.members[g].dim == target and self._contains(i, g) and self._contains(j, g):
-                self.certified_ops += 1
-                self.sum_table[key] = s
-                self.meet_table[key] = g
-                return
-        # no certified meet: compute it
-        meet = subspace_intersect(u, w)
-        self.honest_ops += 1
-        self.meet_table[key] = self.add(meet)
-        self.sum_table[key] = s
+        self.honest_ops += 2
+        self.sum_table[key] = self.add(subspace_sum(u, w))
+        self.meet_table[key] = self.add(subspace_intersect(u, w))
 
     def op(self, table, i, j):
         return table[(i, j) if i <= j else (j, i)]
 
 
-def distributivity_check(
-    algebra,
-    n,
-    cap=200,
-    max_rounds=12,
-    shadow_point=Fraction(5, 7),
-    time_budget=None,
-):
+def distributivity_check(algebra, n, cap=200, max_rounds=12, time_budget=None):
     """Decide distributivity of the lattice generated by the shifted
     relation spaces in degree n.
 
@@ -368,10 +269,8 @@ def distributivity_check(
     """
     return subspace_lattice_distributivity(
         relation_lifts(algebra, n),
-        algebra.generators**n,
         cap=cap,
         max_rounds=max_rounds,
-        shadow_point=shadow_point,
         time_budget=time_budget,
         label=algebra.label,
         degree=n,
@@ -380,16 +279,14 @@ def distributivity_check(
 
 def subspace_lattice_distributivity(
     gens,
-    ambient,
     cap=200,
     max_rounds=12,
-    shadow_point=Fraction(5, 7),
     time_budget=None,
     label="lattice",
     degree=0,
 ):
     started = time.monotonic()
-    lat = _Lattice(ambient, shadow_point)
+    lat = _Lattice()
     for g in gens:
         lat.add(g)
 

@@ -24,12 +24,11 @@ the shifted images of S, used for dual graded dimensions.
 
 from fractions import Fraction
 
-from .exactnum import ONE, P, Q, Scalar, ZERO, scalar
+from .exactnum import ONE, P, Q, Scalar, ZERO, q_int, scalar
 from .linalg import Matrix, lift_to_position, specialize_matrix
 from .symhecke import (
     HeckeElement,
     adjacent_transposition,
-    all_permutations,
     compose,
     length,
     long_cycle,
@@ -196,19 +195,12 @@ def operator_axiom_report(op, max_degree=8):
     ]
     bad_k = None
     for k in range(1, max_degree + 1):
-        if not _q_integer(op.q, k):
+        if not q_int(k, op.q):
             bad_k = k
             break
     out.append(
         ("q-integers-nonzero", CheckResult(bad_k is None, f"[{bad_k}]_q = 0" if bad_k else None))
     )
-    return out
-
-
-def _q_integer(q, k):
-    out = ZERO
-    for j in range(k):
-        out = out + q**j
     return out
 
 
@@ -343,7 +335,7 @@ def staircase_projector(s_op, n, q, dim):
     for m in range(2, n + 1):
         chain = _staircase_chain(s_op, m, dim)
         lifted = proj.kron(Matrix.identity(dim))
-        proj = (lifted * chain).scale(ONE / _q_integer(q, m))
+        proj = (lifted * chain).scale(ONE / q_int(m, q))
     return proj
 
 
@@ -367,4 +359,4 @@ def staircase_projector_trace(s_op, n, q, dim):
             pv = prev.data[u].get(v)
             if pv is not None:
                 acc = acc + pv * val
-    return acc / _q_integer(q, n)
+    return acc / q_int(n, q)

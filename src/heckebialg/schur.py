@@ -28,7 +28,6 @@ __all__ = [
     "MultiplicityTable",
     "multiplicities",
     "centralizer_dimension",
-    "hecke_span_dimension",
     "BicommutantReport",
     "bicommutant_check",
     "SchurDimensionReport",
@@ -241,14 +240,6 @@ def _unvec(row, dim):
     for k, v in row.items():
         data[k // dim][k % dim] = v
     return Matrix(dim, dim, data)
-
-
-def hecke_span_dimension(op, n):
-    """dim span{rho(T_w) : w in S_n} inside End(V^(x)n)."""
-    images = rho_basis(op, n)
-    size = op.d**n
-    rows = [_vec_row(images[w]) for w in sorted(images)]
-    return echelonize(rows, size * size).dim
 
 
 @dataclass

@@ -14,7 +14,7 @@ pinned by tests.
 
 from itertools import permutations as _itperms
 
-from .exactnum import ONE, Q, Scalar, ZERO, q_fact, q_int
+from .exactnum import ONE, Q, Scalar, ZERO, q_int
 
 __all__ = [
     "identity_perm",
@@ -22,7 +22,6 @@ __all__ = [
     "compose",
     "inverse",
     "length",
-    "descents",
     "reduced_word",
     "perm_from_word",
     "all_permutations",
@@ -64,11 +63,6 @@ def length(w):
     """Coxeter length = inversion count."""
     n = len(w)
     return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-
-
-def descents(w):
-    """Positions i with w(i) > w(i+1); these open reduced words of w."""
-    return [i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1]]
 
 
 def reduced_word(w):
@@ -239,7 +233,7 @@ def symmetrizer(n, q=Q):
             # chain v_{m-1} v_{m-2} ... v_{m-k}, earlier letters applied first
             w = compose(w, adjacent_transposition(m - k, m))
             stair = stair + HeckeElement(m, {w: ONE})
-        x = hecke_multiply(ext, stair, q).scale(ONE / _q_int_at(m, q))
+        x = hecke_multiply(ext, stair, q).scale(ONE / q_int(m, q))
     return x
 
 
@@ -256,12 +250,3 @@ def antisymmetrizer(n, q=Q):
         norm = norm + qinv**l
         terms[w] = (-1) ** l * qinv**l
     return HeckeElement(n, terms).scale(ONE / norm)
-
-
-def _q_int_at(m, q):
-    if q == Q:
-        return q_int(m)
-    out = ZERO
-    for k in range(m):
-        out = out + q**k
-    return out

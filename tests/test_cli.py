@@ -285,6 +285,29 @@ def test_budget_env(monkeypatch, capsys):
     assert run(["dims", "--builtin", "dj:2", "-a", "E", "-N", "3", "--max-dim", "4096"]) == 0
 
 
+def test_budget_env_not_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("HBL_MAX_AMBIENT", "abc")
+    assert run(["dims", "--builtin", "dj:2", "-N", "1"]) == 2
+    assert "HBL_MAX_AMBIENT" in capsys.readouterr().err
+
+
+def test_report_into_missing_directory_refused(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "r.json")
+    assert run(["dims", "--builtin", "dj:2", "-N", "1", "-o", out]) == 2
+    captured = capsys.readouterr()
+    assert "no such directory" in captured.err
+    assert captured.out == ""  # refused before any check ran
+
+
+def test_run_without_checks_refused(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run(["dims", "--builtin", "dj:2", "-N", "-1", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "no checks" in captured.err
+    assert "all checks passed" not in captured.out
+    assert not out.exists()
+
+
 def test_budget_skips_optional_direct_route(tmp_path):
     # over-budget direct ranks are skipped inside poincare (the formula
     # route carries on), while the mandatory S-series stays within budget

@@ -139,6 +139,9 @@ def test_q_int_specializes_to_n():
         assert rf_eval_at_one(q_int(n)) == n
     assert q_int(0) == ZERO
     assert q_int(2) == Q + 1
+    assert q_int(3, Q) == q_int(3, Q * ONE) == Q**2 + Q + 1
+    assert q_int(3, Fraction(1, 2)) == Fraction(7, 4)
+    assert q_int(0, Fraction(1, 2)) == ZERO
 
 
 def test_q_fact():

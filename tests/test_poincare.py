@@ -13,7 +13,6 @@ from heckebialg.exactnum import (
 from heckebialg.linalg import Matrix
 from heckebialg.poincare import (
     CharacterRecursionReport,
-    DimensionTable,
     b_sequence,
     p_sequence_from_s,
     poincare_E,
@@ -211,41 +210,3 @@ def test_character_recursion_report_prints():
     rep = verify_character_recursion(dj_r_matrix(2), 2)
     text = str(rep)
     assert "pass" in text and "n=2" in text
-
-
-# ---------------------------------------------------------------------------
-# dimension table bookkeeping
-
-
-def test_table_merges_routes():
-    t = DimensionTable.from_routes("E", direct=[1, 4, 10], formula=[1, 4, 10, 20])
-    assert t.entries == [1, 4, 10, 20]
-    assert t.provenance == ["both-agree", "both-agree", "both-agree", "formula"]
-    assert t[3] == 20 and len(t) == 4
-
-
-def test_table_single_route():
-    t = DimensionTable.from_routes("S", direct=[1, 2, 3])
-    assert t.provenance == ["direct-rank"] * 3
-
-
-def test_table_disagreement_raises():
-    with pytest.raises(ValueError, match="disagree at degree 2"):
-        DimensionTable.from_routes("E", direct=[1, 4, 9], formula=[1, 4, 10])
-
-
-def test_table_validates():
-    with pytest.raises(ValueError):
-        DimensionTable("x", [2, 1], ["formula", "formula"])
-    with pytest.raises(ValueError):
-        DimensionTable("x", [1, -1], ["formula", "formula"])
-    with pytest.raises(ValueError):
-        DimensionTable("x", [1, 1], ["formula"])
-    with pytest.raises(ValueError):
-        DimensionTable("x", [1, 1], ["formula", "guess"])
-    assert "1[formula]" in str(DimensionTable("x", [1], ["formula"]))
-
-
-def test_table_accepts_fractions_that_are_integers():
-    t = DimensionTable.from_routes("b", formula=[Fraction(1), Fraction(4)])
-    assert t.entries == [1, 4]

@@ -4,9 +4,10 @@ import pytest
 from fractions import Fraction
 
 from heckebialg.exactnum import ONE, ZERO
-from heckebialg.linalg import echelonize, subspace_sum
+from heckebialg.linalg import echelonize, subspace_intersect, subspace_sum
 from heckebialg.qalg import (
     QuadraticAlgebra,
+    _Lattice,
     algebra_by_key,
     build_e,
     build_lambda,
@@ -185,7 +186,7 @@ def test_three_lines_in_plane_not_distributive():
     u = line(2, {0: ONE})
     v = line(2, {1: ONE})
     w = line(2, {0: ONE, 1: ONE})
-    rep = subspace_lattice_distributivity([u, v, w], 2, label="M3")
+    rep = subspace_lattice_distributivity([u, v, w], label="M3")
     assert rep.status == "non_distributive"
     assert rep.witness is not None
     wu, wv, ww, lhs, rhs = rep.witness
@@ -195,7 +196,7 @@ def test_three_lines_in_plane_not_distributive():
 def test_two_generated_lattice_distributive():
     u = line(3, {0: ONE})
     v = line(3, {1: ONE})
-    rep = subspace_lattice_distributivity([u, v], 3)
+    rep = subspace_lattice_distributivity([u, v])
     assert rep.status == "distributive"
     # closure: u, v, u+v, 0
     assert rep.closure_size == 4
@@ -236,12 +237,30 @@ def test_lambda_dj2_distributive_n4():
     assert rep.status == "distributive"
 
 
-def test_shadow_off_matches_shadow_on():
-    a = build_s(dj_r_matrix(2))
-    with_shadow = distributivity_check(a, 3)
-    without = distributivity_check(a, 3, shadow_point=None)
-    assert with_shadow.status == without.status == "distributive"
-    assert with_shadow.closure_size == without.closure_size
+def closed_lattice(gens):
+    lat = _Lattice()
+    for g in gens:
+        lat.add(g)
+    while True:
+        size = len(lat.members)
+        pending = [(i, j) for i in range(size) for j in range(i, size) if (i, j) not in lat.sum_table]
+        if not pending:
+            return lat
+        for i, j in pending:
+            lat.resolve_pair(i, j)
+
+
+@pytest.mark.parametrize(
+    "build, n", [(build_s, 3), (build_e, 3), (build_s, 4)], ids=["S-n3", "E-n3", "S-n4"]
+)
+def test_lattice_tables_match_direct_sum_and_intersection(build, n):
+    lat = closed_lattice(relation_lifts(build(dj_r_matrix(2)), n))
+    size = len(lat.members)
+    assert len(lat.sum_table) == len(lat.meet_table) == size * (size + 1) // 2
+    for (i, j), s in lat.sum_table.items():
+        u, w = lat.members[i], lat.members[j]
+        assert lat.members[s] == subspace_sum(u, w)
+        assert lat.members[lat.meet_table[(i, j)]] == subspace_intersect(u, w)
 
 
 def test_e_dj2_distributive_n3():
@@ -253,6 +272,7 @@ def test_e_dj2_distributive_n3():
 def test_e_dj2_distributive_n4():
     rep = distributivity_check(build_e(dj_r_matrix(2)), 4)
     assert rep.status == "distributive"
+    assert rep.closure_size == 18
 
 
 def test_report_str_mentions_status():

@@ -11,7 +11,6 @@ from heckebialg.schur import (
     centralizer_dimension,
     class_size,
     cycle_type_representative,
-    hecke_span_dimension,
     hook_length_dimension,
     multiplicities,
     partitions,
@@ -222,9 +221,9 @@ def test_centralizer_matches_e_dimension():
 
 def test_hecke_span_dims_dj2():
     op = dj_r_matrix(2)
-    assert hecke_span_dimension(op, 2) == 2
+    assert bicommutant_check(op, 2).hecke_span == 2
     # the sign isotypic block is dead at d=2, so 1 + 4 rather than 6
-    assert hecke_span_dimension(op, 3) == 5
+    assert bicommutant_check(op, 3).hecke_span == 5
 
 
 def test_bicommutant_dj2():

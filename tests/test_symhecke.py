@@ -19,7 +19,6 @@ from heckebialg.symhecke import (
     antisymmetrizer,
     compose,
     cycle_type,
-    descents,
     hecke_generator,
     hecke_multiply,
     hecke_unit,
@@ -96,7 +95,6 @@ def test_reduced_word_lex_smallest():
 
 def test_reduced_word_example():
     assert reduced_word((3, 1, 2)) == (1, 2)
-    assert descents((3, 1, 2)) == [1]
 
 
 def test_cycle_type():
