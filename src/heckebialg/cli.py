@@ -42,6 +42,7 @@ from .rmatrix import (
     super_flip,
 )
 from .schur import (
+    MAX_TABLE_DEGREE,
     bicommutant_check,
     centralizer_dimension,
     schur_dimension_check,
@@ -70,17 +71,28 @@ def builtin_operator(name):
         raise CLIError(f"builtin name needs a parameter, like dj:2 (got {name!r})")
     try:
         if kind == "dj":
-            return dj_r_matrix(int(arg))
+            return dj_r_matrix(_space_dimension(name, int(arg)))
         if kind == "flip":
-            return flip_operator(int(arg))
+            return flip_operator(_space_dimension(name, int(arg)))
         if kind == "superflip":
             r, sep2, s = arg.partition("|")
             if not sep2:
                 raise CLIError("superflip takes r|s, like superflip:1|1")
-            return super_flip(int(r), int(s))
+            r, s = int(r), int(s)
+            if r < 0 or s < 0:
+                raise CLIError(f"superflip dimensions must be nonnegative (got {name!r})")
+            _space_dimension(name, r + s)
+            return super_flip(r, s)
     except ValueError as exc:
         raise CLIError(f"bad builtin parameter in {name!r}: {exc}") from None
     raise CLIError(f"unknown builtin {name!r} (expected dj:<d>, flip:<d>, superflip:<r>|<s>)")
+
+
+def _space_dimension(name, d):
+    """d, refused below 1: on the zero space every check holds vacuously."""
+    if d < 1:
+        raise CLIError(f"{name!r} acts on a space of dimension {d}; it needs d >= 1")
+    return d
 
 
 def operator_to_document(op):
@@ -110,6 +122,7 @@ def operator_from_document(doc):
         parameter = str(doc.get("parameter", "symbolic-p"))
     except (KeyError, TypeError, ValueError) as exc:
         raise CLIError(f"malformed operator document: {exc}") from None
+    _space_dimension(name, d)
     m = d * d
     if len(entries) != m or any(len(row) != m for row in entries):
         raise CLIError(f"entries must be a {m}x{m} array of scalar strings")
@@ -308,6 +321,8 @@ def cmd_dims(op, report, key, max_degree, budget):
 
 
 def cmd_poincare(op, report, max_degree, budget):
+    if max_degree < 1:
+        raise CLIError(f"the series pipeline needs degree N >= 1 (got {max_degree})")
     n_p = max_degree  # p_0..p_{N-1} feed e_n and b_n through degree N
     s_alg = algebra_by_key(op, "s")
     require_budget(op.d ** (n_p + 1), budget, f"degree {n_p + 1} of {s_alg.label}")
@@ -370,6 +385,11 @@ def cmd_poincare(op, report, max_degree, budget):
 
 
 def cmd_koszul(op, report, key, degree, cap, budget):
+    if degree < 2:
+        raise CLIError(
+            f"the Koszul checks need degree n >= 2 (got {degree}): "
+            "below that there are no relations to test"
+        )
     algebra = algebra_by_key(op, key)
     require_budget(algebra.generators**degree, budget, f"degree {degree} of {algebra.label}")
 
@@ -403,6 +423,13 @@ def cmd_koszul(op, report, key, degree, cap, budget):
 
 
 def cmd_schur(op, report, degree, budget):
+    if degree < 1:
+        raise CLIError(f"the Schur checks need degree n >= 1 (got {degree})")
+    if op.specialized_at is None and degree > MAX_TABLE_DEGREE:
+        raise CLIError(
+            f"the multiplicities need the character table of S_{degree}, "
+            f"which is supported up to n = {MAX_TABLE_DEGREE}"
+        )
     require_budget((op.d**degree) ** 2, budget, f"the degree-{degree} centralizer")
     e_alg = algebra_by_key(op, "e")
     require_budget(e_alg.generators**degree, budget, f"degree {degree} of {e_alg.label}")
@@ -458,12 +485,15 @@ def cmd_schur(op, report, degree, budget):
 
 
 def cmd_report(op, report, max_degree, cap, budget):
+    if max_degree < 1:
+        raise CLIError(f"the report needs degree N >= 1 (got {max_degree})")
     cmd_axioms(op, report, max_degree=max(max_degree, 8))
     for key in ("s", "lambda", "e", "edual"):
         cmd_dims(op, report, key, max_degree, budget)
     cmd_poincare(op, report, max_degree, budget)
-    for key in ("s", "lambda", "e"):
-        cmd_koszul(op, report, key, max_degree, cap, budget)
+    if max_degree >= 2:
+        for key in ("s", "lambda", "e"):
+            cmd_koszul(op, report, key, max_degree, cap, budget)
     top = min(max_degree, 4)
     for n in range(2, top + 1):
         cmd_schur(op, report, n, budget)

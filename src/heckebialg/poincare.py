@@ -24,8 +24,7 @@ from .exactnum import (
     series_exp_integral,
     series_log_derivative,
 )
-from .rmatrix import character, cycle_trace
-from .symhecke import symmetrizer
+from .rmatrix import cycle_trace, staircase_projector_trace
 
 __all__ = [
     "p_sequence_from_s",
@@ -134,6 +133,7 @@ def verify_character_recursion(op, max_degree):
     """Check [n]_q s_n = sum_{k=0}^{n-1} p_k s_{n-1-k} exactly, n = 1..N.
 
     Here s_n is the trace of the represented symmetrizer on n factors,
+    taken by the staircase recursion of ``staircase_projector_trace``,
     p_k the trace of the long cycle on k+1 factors, and p_0 comes out as
     the trace of the identity, that is d.  Taking p_0 = 1 instead breaks
     the recursion already at n = 1 (s_1 = p_0 s_0 forces p_0 = s_1 = d);
@@ -142,7 +142,7 @@ def verify_character_recursion(op, max_degree):
     p = [cycle_trace(op, k) for k in range(max_degree)]
     s = [ONE]
     for n in range(1, max_degree + 1):
-        s.append(character(op, n, symmetrizer(n, op.q)))
+        s.append(staircase_projector_trace(op.R, n, op.q, op.d))
 
     rows = []
     all_ok = True

@@ -15,11 +15,19 @@ Built-in families:
 * ``super_flip(r, s)``: signed transposition on a Z/2-graded space with r
   even and s odd basis vectors, q = 1.
 
+The Hecke algebra H_n acts on V^(x)n through T_{v_i} -> R_i.  ``rho`` of a
+permutation multiplies the lifted generators along one reduced word, so a
+trace (a cycle trace p_k, a class value for the multiplicities) costs one
+word product, not the n! matrices of ``rho_basis``.
+
 ``matrix_space_operator`` transports R to W = V* (x) V (the degree-one part
 of the coordinate space of matrices); the result satisfies the braid
 relation but generally not the quadratic one.  ``staircase_projector``
-builds the q-averaged projector family whose image is the intersection of
-the shifted images of S, used for dual graded dimensions.
+builds the q-averaged projector family P_n(S) by the staircase recursion of
+the q-symmetrizer.  For S = -Rbar its image is the intersection of the
+shifted images of S, used for dual graded dimensions; for S = R it is the
+represented symmetrizer, whose trace ``staircase_projector_trace`` gives
+without building all of S_n.
 """
 
 from fractions import Fraction
@@ -32,6 +40,7 @@ from .symhecke import (
     compose,
     length,
     long_cycle,
+    reduced_word,
 )
 
 __all__ = [
@@ -209,7 +218,12 @@ def operator_axiom_report(op, max_degree=8):
 
 
 def rho_basis(op, n):
-    """rho(T_w) for every w in S_n, built by extending reduced words."""
+    """rho(T_w) for every w in S_n, built by extending reduced words.
+
+    All n! matrices, cached on the operator.  Only what needs the whole
+    image uses it: the span in ``schur.bicommutant_check`` and ``rho`` of
+    a HeckeElement.
+    """
     cache = op._rho_cache
     if n in cache:
         return cache[n]
@@ -233,11 +247,21 @@ def rho_basis(op, n):
 
 
 def rho(op, n, x):
-    """The representing matrix of a permutation word or Hecke element."""
-    images = rho_basis(op, n)
+    """The representing matrix of a permutation or of a Hecke element.
+
+    A permutation w is the product of the lifted generators along its
+    reduced word, left to right; nothing is cached.
+    """
     if isinstance(x, tuple):
-        return images[x]
+        word = reduced_word(x)
+        if not word:
+            return Matrix.identity(op.d**n)
+        out = op.lifted(word[0], n)
+        for i in word[1:]:
+            out = out * op.lifted(i, n)
+        return out
     assert isinstance(x, HeckeElement) and x.n == n
+    images = rho_basis(op, n)
     out = Matrix.zeros(op.d**n, op.d**n)
     for w, c in x.terms.items():
         out = out + images[w].scale(c)
@@ -246,14 +270,7 @@ def rho(op, n, x):
 
 def character(op, n, x):
     """chi(x) = trace of rho(x) on V^(x)n, an exact Scalar."""
-    images = rho_basis(op, n)
-    if isinstance(x, tuple):
-        return images[x].trace()
-    assert isinstance(x, HeckeElement) and x.n == n
-    acc = ZERO
-    for w, c in x.terms.items():
-        acc = acc + c * images[w].trace()
-    return acc
+    return rho(op, n, x).trace()
 
 
 def cycle_trace(op, k):

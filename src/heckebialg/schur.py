@@ -19,6 +19,7 @@ from .qalg import build_e, graded_dimension
 from .rmatrix import character, rho_basis
 
 __all__ = [
+    "MAX_TABLE_DEGREE",
     "partitions",
     "class_size",
     "cycle_type_representative",
@@ -33,6 +34,8 @@ __all__ = [
     "SchurDimensionReport",
     "schur_dimension_check",
 ]
+
+MAX_TABLE_DEGREE = 8  # largest n with a character table of S_n
 
 
 def partitions(n):
@@ -143,8 +146,8 @@ class CharacterTable:
 
 def sn_character_table(n):
     """Irreducible characters of the symmetric group on n letters, n <= 8."""
-    if not 1 <= n <= 8:
-        raise ValueError("character table supported for 1 <= n <= 8")
+    if not 1 <= n <= MAX_TABLE_DEGREE:
+        raise ValueError(f"character table supported for 1 <= n <= {MAX_TABLE_DEGREE}")
     parts = tuple(partitions(n))
     values = {
         (lam, mu): _mn_character(lam, mu) for lam in parts for mu in parts
@@ -183,7 +186,8 @@ class MultiplicityTable:
 def multiplicities(op, n):
     """m_lambda = (1/n!) sum_mu |class mu| (chi(T_w_mu))_t chi^lambda(mu).
 
-    Traces are evaluated at q = 1; each multiplicity must come out a
+    One trace per cycle type mu, of the word product for its minimal-length
+    representative, evaluated at q = 1; each multiplicity must come out a
     nonnegative integer or the operator is not a valid input.
     """
     if op.specialized_at is not None:

@@ -95,6 +95,14 @@ def test_wrong_shape_rejected():
         operator_from_document(doc)
 
 
+def test_zero_dimensional_document_rejected():
+    # the schema asks for d >= 1; a 0x0 operator would pass every axiom vacuously
+    doc = operator_to_document(dj_r_matrix(2))
+    doc["d"], doc["entries"] = 0, []
+    with pytest.raises(CLIError, match="d >= 1"):
+        operator_from_document(doc)
+
+
 def test_missing_file():
     with pytest.raises(CLIError, match="cannot read"):
         load_operator("/nonexistent/op.json")
@@ -133,6 +141,13 @@ def test_axioms_elapsed_covers_the_computation(tmp_path, monkeypatch):
     out = str(tmp_path / "r.json")
     assert run(["axioms", "--builtin", "dj:2", "-o", out]) == 0
     assert all(c["elapsed"] >= 0.02 for c in read_report(out)["checks"])
+
+
+@pytest.mark.parametrize("name", ["dj:0", "flip:0", "superflip:0|0", "superflip:-1|2"])
+def test_degenerate_builtin_refused(name, capsys):
+    assert run(["axioms", "--builtin", name]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
 
 
 def test_requires_exactly_one_source(capsys):
@@ -306,6 +321,35 @@ def test_run_without_checks_refused(tmp_path, capsys):
     assert "no checks" in captured.err
     assert "all checks passed" not in captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["poincare", "-N", "0"],
+        ["poincare", "-N", "-1"],
+        ["report", "-N", "0"],
+        ["report", "-N", "-1"],
+        ["schur", "-n", "0"],
+        ["schur", "-n", "9", "--max-dim", "300000"],
+        ["koszul", "-n", "0"],
+        ["koszul", "-n", "1"],
+    ],
+)
+def test_out_of_range_degree_refused(args, capsys):
+    assert run(args + ["--builtin", "dj:2"]) == 2
+    captured = capsys.readouterr()
+    assert "degree" in captured.err or "character table" in captured.err
+    assert captured.out == ""  # refused before any check ran
+
+
+def test_report_degree_one_skips_koszul(tmp_path):
+    # at N = 1 the Koszul checks have no relations to test, so they are left out
+    out = str(tmp_path / "r.json")
+    assert run(["report", "--builtin", "dj:2", "-N", "1", "-o", out]) == 0
+    names = [c["name"] for c in read_report(out)["checks"]]
+    assert not any(n.startswith("koszul/") for n in names)
+    assert "poincare/character-recursion" in names and "axioms/hecke-quadratic" in names
 
 
 def test_budget_skips_optional_direct_route(tmp_path):

@@ -8,10 +8,12 @@ Frozen expectations come from hand computations on small cases: explicit
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heckebialg.exactnum import ONE, P, Q, ZERO, q_fact, q_int, rf_eval_at_one
+from heckebialg.exactnum import ONE, P, Q, Scalar, ZERO, q_fact, q_int, rf_eval_at_one
 from heckebialg.linalg import Matrix, echelonize
 from heckebialg.rmatrix import (
+    HeckeOperator,
     character,
     check_hecke,
     check_yang_baxter,
@@ -34,6 +36,7 @@ from heckebialg.symhecke import (
     long_cycle,
     symmetrizer,
 )
+from heckebialg.schur import multiplicities
 
 from math import comb
 
@@ -180,6 +183,54 @@ def test_cycle_traces():
     assert [cycle_trace(fl, k) for k in range(4)] == [3, 3, 3, 3]
     sf = OPS["sflip"]
     assert [cycle_trace(sf, k) for k in range(5)] == [2, 0, 2, 0, 2]
+
+
+# ---------------------------------------------------------------------------
+# trace routes against the full image table
+
+
+ORACLE_OPS = {
+    "dj2": dj_r_matrix(2),
+    "dj3": dj_r_matrix(3),
+    "sflip11": super_flip(1, 1),
+    "sflip21": super_flip(2, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_OPS))
+def test_trace_routes_match_rho_basis(name):
+    op = ORACLE_OPS[name]
+    for n in range(1, 5):
+        images = rho_basis(op, n)
+        for w, mat in images.items():
+            assert rho(op, n, w) == mat, w
+        assert cycle_trace(op, n - 1) == images[long_cycle(n, n)].trace()
+        want = ZERO
+        for w, c in symmetrizer(n, op.q).terms.items():
+            want = want + c * images[w].trace()
+        assert staircase_projector_trace(op.R, n, op.q, op.d) == want
+
+
+def conjugate_by_unitriangular(op, a):
+    """g R g^-1 on V (x) V for g = [[1, a], [0, 1]] acting on each factor."""
+    g = Matrix.from_rows([[ONE, Scalar(a)], [ZERO, ONE]])
+    gg = g.kron(g)
+    return HeckeOperator(op.d, gg * op.R * gg.inverse(), op.q, f"{op.name}^g")
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(-5, 5).filter(bool))
+def test_conjugation_leaves_traces_unchanged(a):
+    # rho of the conjugate is rho conjugated by g^(x)n, so no trace moves
+    base = dj_r_matrix(2)
+    op = conjugate_by_unitriangular(base, a)
+    assert op.R != base.R
+    for n in range(1, 5):
+        assert cycle_trace(op, n - 1) == cycle_trace(base, n - 1)
+        assert staircase_projector_trace(op.R, n, op.q, op.d) == staircase_projector_trace(
+            base.R, n, base.q, base.d
+        )
+        assert multiplicities(op, n) == multiplicities(base, n)
 
 
 # ---------------------------------------------------------------------------
