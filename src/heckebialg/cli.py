@@ -112,8 +112,12 @@ def operator_to_document(op):
     }
 
 
-def operator_from_document(doc):
-    """Parse and validate; a document that fails the axioms is rejected."""
+def operator_from_document(doc, budget=DEFAULT_BUDGET):
+    """Parse and validate; a document that fails the axioms is rejected.
+
+    The Yang-Baxter check works on the d^3-dimensional cube, so d is held
+    to the ambient budget before any entry is parsed.
+    """
     try:
         d = int(doc["d"])
         name = str(doc["name"])
@@ -123,6 +127,7 @@ def operator_from_document(doc):
     except (KeyError, TypeError, ValueError) as exc:
         raise CLIError(f"malformed operator document: {exc}") from None
     _space_dimension(name, d)
+    require_budget(d**3, budget, f"the Yang-Baxter check of {name!r}")
     m = d * d
     if len(entries) != m or any(len(row) != m for row in entries):
         raise CLIError(f"entries must be a {m}x{m} array of scalar strings")
@@ -151,7 +156,7 @@ def operator_from_document(doc):
     return op
 
 
-def load_operator(path):
+def load_operator(path, budget=DEFAULT_BUDGET):
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -159,7 +164,7 @@ def load_operator(path):
         raise CLIError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CLIError(f"{path} is not valid JSON: {exc}") from None
-    return operator_from_document(doc)
+    return operator_from_document(doc, budget)
 
 
 def save_operator(op, path):
@@ -168,10 +173,10 @@ def save_operator(op, path):
         fh.write("\n")
 
 
-def resolve_operator(args):
+def resolve_operator(args, budget=DEFAULT_BUDGET):
     if bool(args.builtin) == bool(args.file):
         raise CLIError("give exactly one of --builtin or --file")
-    op = builtin_operator(args.builtin) if args.builtin else load_operator(args.file)
+    op = builtin_operator(args.builtin) if args.builtin else load_operator(args.file, budget)
     spec = getattr(args, "specialize", None)
     if spec:
         if not spec.startswith("p="):
@@ -284,6 +289,8 @@ def _merge_routes(report, name, degree, by_route, started):
 
 
 def cmd_axioms(op, report, max_degree=8):
+    if max_degree < 1:
+        raise CLIError(f"the q-integer check needs degree N >= 1 (got {max_degree})")
     # the axioms are decided in one computation, so each record carries its time
     started = time.monotonic()
     for name, result in operator_axiom_report(op, max_degree=max_degree):
@@ -552,8 +559,10 @@ def main(argv=None):
     try:
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise CLIError(f"cannot write the report to {args.out}: no such directory")
-        op = resolve_operator(args)
+        if getattr(args, "cap", 1) < 1:
+            raise CLIError(f"the closure size bound --cap must be at least 1 (got {args.cap})")
         budget = ambient_budget(args)
+        op = resolve_operator(args, budget)
         params = {}
         report = None
         if args.command == "axioms":

@@ -11,6 +11,16 @@ no trailing zeros, ``()`` for zero.  Keeping coefficients in Z (contents
 carried along instead of cleared into Q) makes gcd reduction fraction-free
 and fast.
 
+Products and sums are memoised on the operands' ``(num, den)`` tuples.  The
+operands are canonical, so one key always stands for one value, and a cache
+hit returns exactly what the computation would: memoising changes no
+result.  It pays because an elimination over lifted relations meets the
+same few coefficients many times (a degree-4 Koszul closure repeats each
+product about 80 times).  The caches are bounded LRU caches, together with
+the one on ``_pgcd``, all of one size ``_CACHE_SIZE``: a dense operator
+file has little reuse, and unbounded caches there more than double the
+peak memory of a run.
+
 The module also provides :class:`PowerSeries`, truncated formal power series
 used by the Poincare/Hilbert series pipeline, together with the two derived
 series transforms ``series_log_derivative`` and ``series_exp_integral``.
@@ -145,7 +155,12 @@ def _pprem(a, b):
     return _ptrim(r)
 
 
-@lru_cache(maxsize=1 << 14)
+# one bound for every memo in this module: the gcd, product and sum caches
+# together must stay small next to the matrices of a dense elimination
+_CACHE_SIZE = 1 << 12
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _pgcd(a, b):
     """Primitive gcd in Z[p], leading coefficient positive; gcd(0,0) = ()."""
     _, a = _pprim(a)
@@ -269,30 +284,6 @@ class Scalar:
             den = _pneg(den)
         return Scalar._make(num, den)
 
-    @staticmethod
-    def _add_pair(n1, d1, n2, d2):
-        """Sum of two canonical fractions, reduced via the denominator gcd."""
-        if d1 == d2:
-            t = _padd(n1, n2)
-            if d1 == _PONE:
-                return Scalar._make(t, _PONE) if t else ZERO
-            return Scalar._reduced(t, d1)
-        g = _pgcd(d1, d2)
-        if len(g) == 1:
-            # coprime denominators: only integer content can cancel
-            t = _padd(_pmul(n1, d2), _pmul(n2, d1))
-            return Scalar._content_reduced(t, _pmul(d1, d2))
-        a1 = _pquo_exact(d1, g)
-        a2 = _pquo_exact(d2, g)
-        t = _padd(_pmul(n1, a2), _pmul(n2, a1))
-        if not t:
-            return ZERO
-        g2 = _pgcd(t, g)
-        if len(g2) > 1:
-            t = _pquo_exact(t, g2)
-            g = _pquo_exact(g, g2)
-        return Scalar._content_reduced(t, _pmul(g, _pmul(a1, a2)))
-
     # -- ring structure ----------------------------------------------------
 
     def __bool__(self):
@@ -316,7 +307,7 @@ class Scalar:
             other = Scalar(other)
         elif not isinstance(other, Scalar):
             return NotImplemented
-        return Scalar._add_pair(self.num, self.den, other.num, other.den)
+        return _add_pair(self.num, self.den, other.num, other.den)
 
     __radd__ = __add__
 
@@ -325,7 +316,7 @@ class Scalar:
             other = Scalar(other)
         elif not isinstance(other, Scalar):
             return NotImplemented
-        return Scalar._add_pair(self.num, self.den, _pneg(other.num), other.den)
+        return _add_pair(self.num, self.den, _pneg(other.num), other.den)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -337,20 +328,7 @@ class Scalar:
             return NotImplemented
         if not self.num or not other.num:
             return ZERO
-        if self.den == _PONE and other.den == _PONE:
-            return Scalar._make(_pmul(self.num, other.num), _PONE)
-        # cross-reduce first; the product of the reduced pairs is then
-        # already coprime as polynomials, so only contents remain
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        g = _pgcd(n1, d2)
-        if len(g) > 1:
-            n1 = _pquo_exact(n1, g)
-            d2 = _pquo_exact(d2, g)
-        g = _pgcd(n2, d1)
-        if len(g) > 1:
-            n2 = _pquo_exact(n2, g)
-            d1 = _pquo_exact(d1, g)
-        return Scalar._content_reduced(_pmul(n1, n2), _pmul(d1, d2))
+        return _mul_pair(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -424,6 +402,49 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar[{self}]"
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _add_pair(n1, d1, n2, d2):
+    """Sum of two canonical fractions, reduced via the denominator gcd."""
+    if d1 == d2:
+        t = _padd(n1, n2)
+        if d1 == _PONE:
+            return Scalar._make(t, _PONE) if t else ZERO
+        return Scalar._reduced(t, d1)
+    g = _pgcd(d1, d2)
+    if len(g) == 1:
+        # coprime denominators: only integer content can cancel
+        t = _padd(_pmul(n1, d2), _pmul(n2, d1))
+        return Scalar._content_reduced(t, _pmul(d1, d2))
+    a1 = _pquo_exact(d1, g)
+    a2 = _pquo_exact(d2, g)
+    t = _padd(_pmul(n1, a2), _pmul(n2, a1))
+    if not t:
+        return ZERO
+    g2 = _pgcd(t, g)
+    if len(g2) > 1:
+        t = _pquo_exact(t, g2)
+        g = _pquo_exact(g, g2)
+    return Scalar._content_reduced(t, _pmul(g, _pmul(a1, a2)))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _mul_pair(n1, d1, n2, d2):
+    """Product of two nonzero canonical fractions."""
+    if d1 == _PONE and d2 == _PONE:
+        return Scalar._make(_pmul(n1, n2), _PONE)
+    # cross-reduce first; the product of the reduced pairs is then
+    # already coprime as polynomials, so only contents remain
+    g = _pgcd(n1, d2)
+    if len(g) > 1:
+        n1 = _pquo_exact(n1, g)
+        d2 = _pquo_exact(d2, g)
+    g = _pgcd(n2, d1)
+    if len(g) > 1:
+        n2 = _pquo_exact(n2, g)
+        d1 = _pquo_exact(d1, g)
+    return Scalar._content_reduced(_pmul(n1, n2), _pmul(d1, d2))
 
 
 def _poly_str(c):
@@ -505,6 +526,22 @@ def rf_eval_at_one(f):
 #           factor := ('+'|'-')* base ('^' exponent)?
 #           base   := INT | 'p' | '(' expr ')'
 # '^' binds tighter than unary minus, so -p^2 means -(p^2).
+#
+# A power is the one place where a short text asks for a large value, so
+# each is refused before it is taken when k * size(base) would pass
+# MAX_POWER_SIZE.  Size counts the degree in p and the coefficient bit
+# length, which both grow about linearly in k; nested powers are caught because
+# the size of the inner result is measured.
+
+MAX_POWER_SIZE = 1024
+
+
+def _size(x):
+    """Largest degree or coefficient bit length of x's numerator and denominator."""
+    return max(
+        max(len(c) - 1, max((abs(a).bit_length() for a in c), default=0))
+        for c in (x.num, x.den)
+    )
 
 
 def _tokenize(text):
@@ -577,6 +614,11 @@ class _Parser:
             kind, k = self.take()
             if kind != "int":
                 raise ValueError("exponent must be an integer")
+            if k * _size(val) > MAX_POWER_SIZE:
+                raise ValueError(
+                    f"a power with exponent {esign * k} of a base of size {_size(val)} "
+                    f"is over the size bound {MAX_POWER_SIZE}"
+                )
             val = val ** (esign * k)
         return val if sign > 0 else -val
 

@@ -18,6 +18,7 @@ from heckebialg.cli import (
     operator_to_document,
     save_operator,
 )
+from heckebialg.exactnum import MAX_POWER_SIZE
 from heckebialg.rmatrix import dj_r_matrix, super_flip
 
 SCHEMA_DIR = __file__.rsplit("/", 2)[0] + "/docs"
@@ -101,6 +102,28 @@ def test_zero_dimensional_document_rejected():
     doc["d"], doc["entries"] = 0, []
     with pytest.raises(CLIError, match="d >= 1"):
         operator_from_document(doc)
+
+
+def test_oversized_power_rejected():
+    doc = operator_to_document(dj_r_matrix(2))
+    doc["entries"][1][2] = f"p^{MAX_POWER_SIZE + 1}"
+    with pytest.raises(CLIError, match=r"bad scalar at entry \(1, 2\).*size bound"):
+        operator_from_document(doc)
+
+
+def test_file_over_budget_refused_before_parsing(tmp_path, capsys):
+    # the Yang-Baxter check of a d = 2 file works in dimension d^3 = 8
+    path = tmp_path / "op.json"
+    doc = operator_to_document(dj_r_matrix(2))
+    path.write_text(json.dumps(doc))
+    assert run(["axioms", "--file", str(path), "--max-dim", "8"]) == 0
+    capsys.readouterr()
+    doc["entries"][0][0] = "p +* 3"  # never read: the size is refused first
+    path.write_text(json.dumps(doc))
+    assert run(["axioms", "--file", str(path), "--max-dim", "7"]) == 2
+    captured = capsys.readouterr()
+    assert "Yang-Baxter" in captured.err and "budget 7" in captured.err
+    assert captured.out == ""
 
 
 def test_missing_file():
@@ -334,6 +357,8 @@ def test_run_without_checks_refused(tmp_path, capsys):
         ["schur", "-n", "9", "--max-dim", "300000"],
         ["koszul", "-n", "0"],
         ["koszul", "-n", "1"],
+        ["axioms", "-N", "0"],
+        ["axioms", "-N", "-3"],
     ],
 )
 def test_out_of_range_degree_refused(args, capsys):
@@ -341,6 +366,22 @@ def test_out_of_range_degree_refused(args, capsys):
     captured = capsys.readouterr()
     assert "degree" in captured.err or "character table" in captured.err
     assert captured.out == ""  # refused before any check ran
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["koszul", "-a", "S", "-n", "2", "--cap", "0"],
+        ["koszul", "-a", "S", "-n", "2", "--cap", "-5"],
+        ["report", "-N", "2", "--cap", "0"],
+    ],
+)
+def test_closure_cap_below_one_refused(args, capsys):
+    # a cap of 0 would stop the closure at once and read as inconclusive (exit 1)
+    assert run(args + ["--builtin", "dj:2"]) == 2
+    captured = capsys.readouterr()
+    assert "--cap" in captured.err
+    assert captured.out == ""
 
 
 def test_report_degree_one_skips_koszul(tmp_path):

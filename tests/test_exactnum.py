@@ -10,8 +10,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from heckebialg.exactnum import (
+    MAX_POWER_SIZE,
     ONE,
     P,
     Q,
@@ -27,6 +29,12 @@ from heckebialg.exactnum import (
     series_exp_integral,
     series_log_derivative,
 )
+from heckebialg.exactnum import _add_pair, _mul_pair, _pgcd
+from heckebialg.linalg import Matrix
+from heckebialg.qalg import algebra_by_key, distributivity_check, graded_dimension
+from heckebialg.rmatrix import HeckeOperator, dj_r_matrix
+
+CACHES = (_pgcd, _mul_pair, _add_pair)
 
 
 def rand_scalar(rng, degree=4, terms=3):
@@ -185,6 +193,79 @@ def test_str_round_trip():
     cases += [rand_scalar(rng) for _ in range(25)]
     for f in cases:
         assert parse_scalar(str(f)) == f
+
+
+def test_parse_bounds_powers():
+    # refused just past the bound; a huge exponent is never run
+    assert parse_scalar(f"p^{MAX_POWER_SIZE}") == P**MAX_POWER_SIZE
+    assert parse_scalar(f"p^-{MAX_POWER_SIZE}") == P**-MAX_POWER_SIZE
+    assert parse_scalar(f"2^{MAX_POWER_SIZE // 2}") == 2 ** (MAX_POWER_SIZE // 2)
+    assert parse_scalar("((p+1)^32)^32") == (P + 1) ** 1024
+    for bad in [
+        f"p^{MAX_POWER_SIZE + 1}",
+        f"p^-{MAX_POWER_SIZE + 1}",
+        f"(p^2+1)^{MAX_POWER_SIZE // 2 + 1}",
+        f"2^{MAX_POWER_SIZE // 2 + 1}",
+        "((p+1)^32)^33",  # the inner result is measured, so nesting is caught
+        f"(2^{MAX_POWER_SIZE // 2})^2",
+    ]:
+        with pytest.raises(ValueError, match="size bound"):
+            parse_scalar(bad)
+
+
+# ---------------------------------------------------------------------------
+# memoised arithmetic
+
+polys = st.lists(st.integers(-9, 9), max_size=4)
+
+
+@st.composite
+def canonical_scalars(draw):
+    den = draw(polys.filter(any))
+    return Scalar._reduced(tuple(draw(polys)), tuple(den))
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_scalars(), canonical_scalars())
+@example((P + 1) / (P - 1), (Q - 1) / (2 * P + 2))
+@example(ONE / (P + 1), -ONE / (P + 1))
+def test_cached_arithmetic_equals_raw(a, b):
+    key = (a.num, a.den, b.num, b.den)
+    for _ in range(2):  # a miss, then a hit
+        assert _add_pair(*key) == _add_pair.__wrapped__(*key)
+        assert a - b == _add_pair.__wrapped__(a.num, a.den, (-b).num, b.den)
+        if a and b:
+            assert _mul_pair(*key) == _mul_pair.__wrapped__(*key)
+            assert a * b == _mul_pair.__wrapped__(*key)
+            assert a / b == _mul_pair.__wrapped__(a.num, a.den, b.den, b.num)
+
+
+def test_distributivity_same_with_cold_and_warm_caches():
+    algebra = algebra_by_key(dj_r_matrix(2), "e")
+    for cache in CACHES:
+        cache.cache_clear()
+    cold = distributivity_check(algebra, 3)
+    warm = distributivity_check(algebra, 3)
+    assert cold.status == "distributive"
+    assert warm == cold
+    assert _mul_pair.cache_info().hits > 0
+
+
+def test_caches_stay_bounded_on_a_dense_elimination():
+    # dj:3 conjugated by g (x) g for a unitriangular g: every entry is dense
+    g = Matrix.from_rows([[ONE, ONE, -ONE], [ZERO, ONE, ONE], [ZERO, ZERO, ONE]])
+    gg = g.kron(g)
+    base = dj_r_matrix(3)
+    dense = HeckeOperator(3, gg * base.R * gg.inverse(), base.q, "dense-dj3")
+    for cache in CACHES:
+        cache.cache_clear()
+    assert graded_dimension(algebra_by_key(dense, "e"), 2) == 45
+    for cache in CACHES:
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize
+    # the product and sum caches saw more distinct pairs than they hold
+    assert _mul_pair.cache_info().misses > _mul_pair.cache_info().maxsize
+    assert _add_pair.cache_info().misses > _add_pair.cache_info().maxsize
 
 
 # ---------------------------------------------------------------------------
