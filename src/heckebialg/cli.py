@@ -288,9 +288,10 @@ def _merge_routes(report, name, degree, by_route, started):
 # subcommands
 
 
-def cmd_axioms(op, report, max_degree=8):
+def cmd_axioms(op, report, max_degree, budget):
     if max_degree < 1:
         raise CLIError(f"the q-integer check needs degree N >= 1 (got {max_degree})")
+    require_budget(op.d**3, budget, f"the Yang-Baxter check of {op.name!r}")
     # the axioms are decided in one computation, so each record carries its time
     started = time.monotonic()
     for name, result in operator_axiom_report(op, max_degree=max_degree):
@@ -494,7 +495,7 @@ def cmd_schur(op, report, degree, budget):
 def cmd_report(op, report, max_degree, cap, budget):
     if max_degree < 1:
         raise CLIError(f"the report needs degree N >= 1 (got {max_degree})")
-    cmd_axioms(op, report, max_degree=max(max_degree, 8))
+    cmd_axioms(op, report, max(max_degree, 8), budget)
     for key in ("s", "lambda", "e", "edual"):
         cmd_dims(op, report, key, max_degree, budget)
     cmd_poincare(op, report, max_degree, budget)
@@ -568,7 +569,7 @@ def main(argv=None):
         if args.command == "axioms":
             params = {"max_degree": args.max_degree}
             report = VerificationReport("axioms", op.name, params)
-            cmd_axioms(op, report, max_degree=args.max_degree)
+            cmd_axioms(op, report, args.max_degree, budget)
         elif args.command == "dims":
             params = {"algebra": args.algebra, "max_degree": args.max_degree}
             report = VerificationReport("dims", op.name, params)

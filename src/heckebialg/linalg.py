@@ -22,8 +22,20 @@ what the nonzeros it touches cost, not the rank, by two invariants:
 
 Both visit their rows in ascending pivot order, the order of a full scan,
 so the exact operations performed do not depend on the lookups.
+
+A dimension needs no basis, and ``rank`` returns only that: it is forward
+elimination, with no back-elimination and no basis built.  Its invariant
+is weaker than the echelon form's: the stored row k is zero at the pivots
+of rows 0..k-1 (it may hold later pivots).  So reducing an incoming row by
+row k can only fill in pivots of later rows, and the row is cleared by the
+stored rows whose pivots it holds, in insertion order, through a heap of
+insertion indices.  In dense rational-function rows most of the cost of
+``echelonize`` is back-elimination, which is why the dimension-only routes
+(``graded_dimension``, ``centralizer_dimension``, the last intersection of
+``dual_graded_dimension``) take a rank.
 """
 
+import heapq
 from fractions import Fraction
 
 from .exactnum import ONE, ZERO, Scalar
@@ -32,9 +44,11 @@ __all__ = [
     "Matrix",
     "Subspace",
     "echelonize",
+    "rank",
     "subspace_sum",
     "subspace_intersect",
     "kernel",
+    "commutant_equations",
     "commutant",
     "lift_to_position",
     "lift_rows",
@@ -312,6 +326,50 @@ def echelonize(rows, ambient):
     return Subspace(ambient, tuple(row_of[p] for p in pivots), pivots)
 
 
+def rank(rows):
+    """Dimension of the span of the given sparse rows.
+
+    Forward elimination only.  ``stored[k]`` is the k-th independent row
+    without its pivot entry, scaled so that entry is an exact one; it is
+    zero at the pivots of rows 0..k-1.  An incoming row is reduced by the
+    stored rows whose pivots it holds, popped from a heap of insertion
+    indices: a fill-in from row k can only be a pivot of a later row, so
+    each row is met once, in order.  A column that cancels and fills in
+    again is pushed twice; the second pop finds it absent and skips it.
+    """
+    stored = []  # insertion index -> row without its pivot entry
+    pivots = []  # insertion index -> pivot column
+    index_of = {}  # pivot column -> insertion index
+    for raw in rows:
+        vec = {j: v for j, v in raw.items() if v}
+        heap = [index_of[j] for j in vec.keys() & index_of.keys()]
+        heapq.heapify(heap)
+        while heap:
+            k = heapq.heappop(heap)
+            factor = vec.pop(pivots[k], None)
+            if factor is None:
+                continue
+            row = stored[k]
+            for j in row.keys() - vec.keys():
+                later = index_of.get(j)
+                if later is not None:
+                    heapq.heappush(heap, later)
+            _row_axpy(vec, -factor, row)
+        if not vec:
+            continue
+        col = min(vec)
+        lead = vec.pop(col)
+        one = lead**0
+        if lead != one:
+            inv = one / lead
+            for j in vec:
+                vec[j] = vec[j] * inv
+        index_of[col] = len(stored)
+        pivots.append(col)
+        stored.append(vec)
+    return len(stored)
+
+
 def subspace_sum(u, w):
     assert u.ambient == w.ambient
     if u.dim == 0:
@@ -360,11 +418,11 @@ def kernel(mat):
     return echelonize(rows, mat.cols)
 
 
-def commutant(gens, dim):
-    """Matrices commuting with every generator, vectorized row-major.
+def commutant_equations(gens, dim):
+    """Rows of the linear system X G - G X = 0, X vectorized row-major.
 
-    Returns the solution space of X G = G X for all G as a Subspace of
-    k^(dim*dim); the commutant algebra dimension is its dim.
+    One row per generator G and entry (i, j), with columns indexing the
+    dim*dim entries of X; zero rows are left out.
     """
     eq_rows = []
     for g in gens:
@@ -387,8 +445,18 @@ def commutant(gens, dim):
                         del row[key]
                 if row:
                     eq_rows.append(row)
-    eq = Matrix(len(eq_rows), dim * dim, eq_rows)
-    return kernel(eq)
+    return eq_rows
+
+
+def commutant(gens, dim):
+    """Matrices commuting with every generator, vectorized row-major.
+
+    Returns the solution space of X G = G X for all G as a Subspace of
+    k^(dim*dim); the commutant algebra dimension is its dim, which
+    ``dim**2 - rank(commutant_equations(gens, dim))`` gives without a basis.
+    """
+    eq_rows = commutant_equations(gens, dim)
+    return kernel(Matrix(len(eq_rows), dim * dim, eq_rows))
 
 
 def lift_to_position(mat, i, n, d):

@@ -11,7 +11,15 @@ built from an operator R on V (x) V:
 
 Graded dimensions come from honest subspace arithmetic: the degree-n
 component of A is W^(x)n modulo the sum of shifted relation subspaces, and
-the degree-n component of the quadratic dual is their intersection.
+the degree-n component of the quadratic dual is their intersection.  Both
+dimensions need only ranks (``linalg.rank``), not bases.
+
+One run asks for the same value from several checks, so ``algebra_by_key``,
+``graded_dimension`` and ``dual_graded_dimension`` (and
+``schur.centralizer_dimension``) are ``memoised``: each value is kept in the
+``memo`` of the operator or algebra it is computed from.  A run makes its
+operator once, so a value is computed once per run and lives as long as
+the run; each function keeps its own entries, so routes stay independent.
 
 ``distributivity_check`` decides the lattice criterion for Koszulness: the
 subspace lattice generated by the shifted relation spaces must be
@@ -20,14 +28,16 @@ comparable pair of members is settled by one containment row-reduction,
 and every other pair by one exact sum and one exact intersection.
 """
 
+import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .linalg import (
     Matrix,
     Subspace,
     echelonize,
     lift_rows,
+    rank,
     subspace_intersect,
     subspace_sum,
 )
@@ -38,6 +48,7 @@ __all__ = [
     "build_lambda",
     "build_s",
     "build_e",
+    "memoised",
     "algebra_by_key",
     "relation_lifts",
     "graded_dimension",
@@ -50,6 +61,25 @@ __all__ = [
 ]
 
 
+def memoised(fn):
+    """``fn(owner, arg)`` computed once per owner and arg, kept in ``owner.memo``.
+
+    The entry is keyed by the function's name and arg, so two functions
+    never share an entry.  Only exact, immutable values are memoised.
+    """
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def wrapper(owner, arg):
+        key = (name, arg)
+        memo = owner.memo
+        if key not in memo:
+            memo[key] = fn(owner, arg)
+        return memo[key]
+
+    return wrapper
+
+
 @dataclass(frozen=True)
 class QuadraticAlgebra:
     """m generators and a relation subspace inside the m^2-dim square."""
@@ -57,6 +87,7 @@ class QuadraticAlgebra:
     generators: int
     relations: Subspace
     label: str
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         assert self.relations.ambient == self.generators**2
@@ -85,6 +116,7 @@ def build_e(op, wop=None):
     return QuadraticAlgebra(wop.d, rel, f"E({op.name})")
 
 
+@memoised
 def algebra_by_key(op, key):
     key = key.lower()
     if key in ("s", "sym"):
@@ -106,8 +138,13 @@ def relation_lifts(algebra, n):
     return out
 
 
+@memoised
 def graded_dimension(algebra, n):
-    """dim A_n = m^n - dim(sum of shifted relation spaces)."""
+    """dim A_n = m^n - rank of the stacked shifted relation rows.
+
+    The rank is taken by forward elimination alone; no basis of the
+    relation sum is built.
+    """
     m = algebra.generators
     if n == 0:
         return 1
@@ -116,20 +153,35 @@ def graded_dimension(algebra, n):
     rows = []
     for i in range(1, n):
         rows.extend(lift_rows(algebra.relations.basis, i, n, m))
-    return m**n - echelonize(rows, m**n).dim
+    return m**n - rank(rows)
 
 
+@memoised
 def dual_graded_dimension(algebra, n):
-    """dim (A^!)_n read off A: the intersection of the shifted relations."""
-    return dual_component(algebra, n).dim if n >= 2 else (1 if n == 0 else algebra.generators)
+    """dim (A^!)_n read off A: the intersection of the shifted relations.
+
+    All intersections but the last are exact subspaces; the last needs
+    only its dimension, dim(U & W) = dim U + dim W - rank(U + W).
+    ``dual_component`` builds the whole intersection.
+    """
+    if n < 2:
+        return 1 if n == 0 else algebra.generators
+    *head, last = relation_lifts(algebra, n)
+    if not head:
+        return last.dim
+    acc = _intersect_all(head)
+    return acc.dim + last.dim - rank(acc.basis + last.basis)
 
 
 def dual_component(algebra, n):
     """The subspace whose dimension is dim (A^!)_n, for n >= 2."""
     assert n >= 2
-    lifts = relation_lifts(algebra, n)
-    acc = lifts[0]
-    for nxt in lifts[1:]:
+    return _intersect_all(relation_lifts(algebra, n))
+
+
+def _intersect_all(subspaces):
+    acc = subspaces[0]
+    for nxt in subspaces[1:]:
         if acc.dim == 0:
             break
         acc = subspace_intersect(acc, nxt)

@@ -67,7 +67,8 @@ class HeckeOperator:
     Also used for the induced operator on W = V* (x) V, which satisfies the
     braid relation only; run the check functions to see which axioms hold.
     ``specialized_at`` records a numeric value substituted for p, None for
-    honest symbolic entries.
+    honest symbolic entries.  ``memo`` holds the values ``qalg.memoised``
+    functions computed from this operator.
     """
 
     def __init__(self, d, matrix, q, name, specialized_at=None):
@@ -79,6 +80,7 @@ class HeckeOperator:
         self.specialized_at = specialized_at
         self._rho_cache = {}
         self._inverse = None
+        self.memo = {}
 
     def __repr__(self):
         return f"HeckeOperator({self.name}, d={self.d})"

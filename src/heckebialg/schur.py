@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import rf_eval_at_one
-from .linalg import Matrix, commutant, echelonize
-from .qalg import build_e, graded_dimension
+from .linalg import Matrix, commutant, commutant_equations, echelonize, rank
+from .qalg import build_e, graded_dimension, memoised
 from .rmatrix import character, rho_basis
 
 __all__ = [
@@ -223,11 +223,17 @@ def multiplicities(op, n):
 # centralizer and bicommutant
 
 
+@memoised
 def centralizer_dimension(op, n):
-    """dim of the commutant of the represented generators on V^(x)n."""
+    """dim of the commutant of the represented generators on V^(x)n.
+
+    That is size^2 minus the rank of the equations X G = G X, size = d^n:
+    no kernel basis is built.
+    """
     assert n >= 1
     gens = [op.lifted(i, n) for i in range(1, n)]
-    return commutant(gens, op.d**n).dim
+    size = op.d**n
+    return size * size - rank(commutant_equations(gens, size))
 
 
 def _vec_row(mat):

@@ -19,6 +19,7 @@ from heckebialg.cli import (
     save_operator,
 )
 from heckebialg.exactnum import MAX_POWER_SIZE
+from heckebialg.linalg import rank
 from heckebialg.rmatrix import dj_r_matrix, super_flip
 
 SCHEMA_DIR = __file__.rsplit("/", 2)[0] + "/docs"
@@ -124,6 +125,20 @@ def test_file_over_budget_refused_before_parsing(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "Yang-Baxter" in captured.err and "budget 7" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("budget", ["2", "26"])
+def test_builtin_over_budget_refused_by_axioms(budget, capsys):
+    # the Yang-Baxter check of dj:3 works in dimension d^3 = 27
+    assert run(["axioms", "--builtin", "dj:3", "--max-dim", budget]) == 2
+    captured = capsys.readouterr()
+    assert "Yang-Baxter" in captured.err and f"budget {budget}" in captured.err
+    assert captured.out == ""
+
+
+def test_builtin_within_budget_runs_axioms(capsys):
+    assert run(["axioms", "--builtin", "dj:3", "--max-dim", "27"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
 
 
 def test_missing_file():
@@ -419,6 +434,23 @@ def test_report_small(tmp_path):
     assert "poincare/character-recursion" in names
     assert any(n.startswith("koszul/distributivity") for n in names)
     assert any(n.startswith("schur/") for n in names)
+
+
+def test_report_computes_each_dimension_once(monkeypatch, capsys):
+    # the dims, poincare, koszul and schur checks ask 35 times for dim A_n,
+    # 20 times for dim (A^!)_n and 5 times for a centralizer; each distinct
+    # value with n >= 2 (n >= 3 for the dual) takes one rank: 7 + 3 in qalg
+    # and 3 in schur
+    calls = {"qalg": 0, "schur": 0}
+    for module in calls:
+
+        def counted(rows, module=module):
+            calls[module] += 1
+            return rank(rows)
+
+        monkeypatch.setattr(f"heckebialg.{module}.rank", counted)
+    assert run(["report", "--builtin", "dj:2", "-N", "3"]) == 0
+    assert calls == {"qalg": 10, "schur": 3}
 
 
 def test_report_deterministic(tmp_path):

@@ -9,22 +9,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from heckebialg.exactnum import ONE, P, Q, ZERO, Scalar
 from heckebialg.linalg import (
     Matrix,
     commutant,
+    commutant_equations,
     echelonize,
     kernel,
     lift_rows,
     lift_to_position,
+    rank,
     specialize_matrix,
     specialize_rows,
     subspace_intersect,
     subspace_sum,
 )
 from heckebialg.qalg import build_e
-from heckebialg.rmatrix import dj_r_matrix
+from heckebialg.rmatrix import HeckeOperator, dj_r_matrix, super_flip
+from heckebialg.schur import centralizer_dimension
 
 
 def rand_matrix(rng, rows, cols, density=0.4, symbolic=False):
@@ -197,12 +201,16 @@ def test_echelon_is_canonical():
 
 def test_echelonize_matches_dense_oracle():
     rng = random.Random(71)
-    for ambient in (64, 96, 128, 192, 256):
-        rows = sparse_rows(rng, 40, ambient)
+    cases = [(sparse_rows(rng, 40, ambient), ambient) for ambient in (64, 96, 128, 192, 256)]
+    # empty input, zero rows (one with an explicit zero entry) and duplicates
+    rows = sparse_rows(rng, 30, 64)
+    cases += [([], 8), ([{}, {3: Fraction(0)}], 8), (rows + [{}] + rows[::2], 64)]
+    for rows, ambient in cases:
         ech = echelonize(rows, ambient)
         pivots, basis = dense_rref(rows, ambient)
         assert ech.pivots == pivots
         assert list(ech.basis) == basis
+        assert rank(rows) == len(pivots)
 
 
 def test_echelonize_ignores_row_order_and_scale():
@@ -231,6 +239,75 @@ def test_echelonize_symbolic_relations_match_specialized_oracle():
     pivots, basis = dense_rref(specialize_rows(rows, x), m**n)
     assert ech.pivots == pivots
     assert specialize_rows(ech.basis, x) == basis
+
+
+polys = st.lists(st.integers(-3, 3), max_size=3)
+
+
+@st.composite
+def field_entries(draw, symbolic):
+    """A zero, or a nonzero Scalar (den != 1 allowed) or Fraction."""
+    if draw(st.integers(0, 4)) == 0:
+        return ZERO if symbolic else Fraction(0)
+    if symbolic:
+        num = draw(polys.filter(any))
+        return Scalar._reduced(tuple(num), tuple(draw(polys.filter(any))))
+    return Fraction(draw(st.integers(-4, 4).filter(bool)), draw(st.integers(1, 3)))
+
+
+@st.composite
+def row_lists(draw):
+    """Sparse rows on a small ambient, some of them repeated or dependent."""
+    symbolic = draw(st.booleans())
+    ambient = draw(st.integers(1, 8))
+    entries = field_entries(symbolic)
+    row = st.dictionaries(st.integers(0, ambient - 1), entries, max_size=4)
+    rows = draw(st.lists(row, max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        c = draw(entries)
+        combo = dict(a)
+        for j, v in b.items():
+            combo[j] = combo.get(j, 0 * v) + c * v
+        rows.insert(draw(st.integers(0, len(rows))), combo)
+    return rows, ambient
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_lists())
+@example(([], 4))
+@example(([{0: ONE / (P + 1), 1: P}, {0: ONE, 1: P * P + P}, {1: ONE / (P - 1)}], 2))
+@example(([{2: Fraction(1, 3)}, {2: Fraction(1, 3)}, {0: Fraction(0)}], 3))
+def test_rank_matches_echelonize(case):
+    rows, ambient = case
+    assert rank(rows) == echelonize(rows, ambient).dim
+
+
+CENTRALIZER_OPS = {
+    "dj2": lambda: dj_r_matrix(2),
+    "dj3": lambda: dj_r_matrix(3),
+    "superflip11": lambda: super_flip(1, 1),
+    "dense-dj2": lambda: conjugate(dj_r_matrix(2), [[ONE, Scalar(2)], [ZERO, ONE]]),
+}
+
+
+def conjugate(op, rows):
+    g = Matrix.from_rows(rows)
+    gg = g.kron(g)
+    return HeckeOperator(op.d, gg * op.R * gg.inverse(), op.q, f"{op.name}^g")
+
+
+@pytest.mark.parametrize("name", sorted(CENTRALIZER_OPS))
+def test_centralizer_rank_matches_commutant_basis(name):
+    op = CENTRALIZER_OPS[name]()  # a fresh operator: no memoised value
+    for n in range(1, 4):
+        size = op.d**n
+        gens = [op.lifted(i, n) for i in range(1, n)]
+        c = commutant(gens, size)
+        assert centralizer_dimension(op, n) == c.dim
+        assert rank(commutant_equations(gens, size)) == size * size - c.dim
 
 
 def test_reduce_vector_agrees_with_sum_dimension():

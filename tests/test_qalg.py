@@ -4,7 +4,7 @@ import pytest
 from fractions import Fraction
 
 from heckebialg.exactnum import ONE, ZERO
-from heckebialg.linalg import echelonize, subspace_intersect, subspace_sum
+from heckebialg.linalg import Matrix, echelonize, subspace_intersect, subspace_sum
 from heckebialg.qalg import (
     QuadraticAlgebra,
     _Lattice,
@@ -19,7 +19,7 @@ from heckebialg.qalg import (
     relation_lifts,
     subspace_lattice_distributivity,
 )
-from heckebialg.rmatrix import dj_r_matrix, flip_operator, super_flip
+from heckebialg.rmatrix import HeckeOperator, dj_r_matrix, flip_operator, super_flip
 
 
 def binom(n, k):
@@ -53,6 +53,17 @@ def test_s_and_lambda_relations_are_complementary():
     op = dj_r_matrix(2)
     s, lam = build_s(op), build_lambda(op)
     assert subspace_sum(s.relations, lam.relations).dim == 4
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_complementary_operator_swaps_s_and_lambda(d):
+    # (R + 1)(R - q) = 0 makes R' = (q - 1) - R a Hecke operator with
+    # R' - q = -(R + 1) and R' + 1 = -(R - q): S and Lambda trade relations
+    op = dj_r_matrix(d)
+    shifted = Matrix.identity(d * d).scale(op.q - 1) - op.R
+    other = HeckeOperator(d, shifted, op.q, f"{op.name}'")
+    assert build_s(other).relations == build_lambda(op).relations
+    assert build_lambda(other).relations == build_s(op).relations
 
 
 def test_algebra_by_key():

@@ -12,6 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from heckebialg.exactnum import ONE, P, Q, Scalar, ZERO, q_fact, q_int, rf_eval_at_one
 from heckebialg.linalg import Matrix, echelonize
+from heckebialg.qalg import (
+    algebra_by_key,
+    distributivity_check,
+    dual_graded_dimension,
+    graded_dimension,
+)
 from heckebialg.rmatrix import (
     HeckeOperator,
     character,
@@ -36,7 +42,7 @@ from heckebialg.symhecke import (
     long_cycle,
     symmetrizer,
 )
-from heckebialg.schur import multiplicities
+from heckebialg.schur import centralizer_dimension, multiplicities
 
 from math import comb
 
@@ -231,6 +237,24 @@ def test_conjugation_leaves_traces_unchanged(a):
             base.R, n, base.q, base.d
         )
         assert multiplicities(op, n) == multiplicities(base, n)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(-5, 5).filter(bool))
+def test_conjugation_leaves_dimensions_unchanged(a):
+    # g (x) g carries the relation spaces of R onto those of its conjugate
+    base = dj_r_matrix(2)
+    op = conjugate_by_unitriangular(base, a)
+    for key in ("s", "lambda", "e"):
+        alg, ref = algebra_by_key(op, key), algebra_by_key(base, key)
+        assert alg.relations != ref.relations
+        for n in range(4):
+            assert graded_dimension(alg, n) == graded_dimension(ref, n)
+            assert dual_graded_dimension(alg, n) == dual_graded_dimension(ref, n)
+    for n in range(1, 4):
+        assert centralizer_dimension(op, n) == centralizer_dimension(base, n)
+    verdict = distributivity_check(algebra_by_key(op, "e"), 3)
+    assert verdict.status == distributivity_check(algebra_by_key(base, "e"), 3).status
 
 
 # ---------------------------------------------------------------------------
