@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
-from .exactnum import PowerSeries, scalar
+from .exactnum import scalar
 from .linalg import Matrix
 from .poincare import (
     b_sequence,
@@ -337,7 +337,7 @@ def cmd_poincare(op, report, max_degree, budget):
 
     started = time.monotonic()
     s_dims = [graded_dimension(s_alg, n) for n in range(n_p + 2)]
-    p_series = p_sequence_from_s(PowerSeries([Fraction(x) for x in s_dims]), n_p)
+    p_series = p_sequence_from_s(s_dims, n_p)
     if op.specialized_at is None:
         p_vals = t_specialize_p_from_operator(op, n_p)
         _merge_routes(

@@ -20,10 +20,6 @@ product about 80 times).  The caches are bounded LRU caches, together with
 the one on ``_pgcd``, all of one size ``_CACHE_SIZE``: a dense operator
 file has little reuse, and unbounded caches there more than double the
 peak memory of a run.
-
-The module also provides :class:`PowerSeries`, truncated formal power series
-used by the Poincare/Hilbert series pipeline, together with the two derived
-series transforms ``series_log_derivative`` and ``series_exp_integral``.
 """
 
 from fractions import Fraction
@@ -42,9 +38,6 @@ __all__ = [
     "rf_eval_at_one",
     "PoleAtOneError",
     "parse_scalar",
-    "PowerSeries",
-    "series_log_derivative",
-    "series_exp_integral",
 ]
 
 
@@ -532,8 +525,13 @@ def rf_eval_at_one(f):
 # MAX_POWER_SIZE.  Size counts the degree in p and the coefficient bit
 # length, which both grow about linearly in k; nested powers are caught because
 # the size of the inner result is measured.
+#
+# The parser recurses once per level of parentheses, so a text nested
+# deeper than MAX_NESTING is refused before parsing starts, not left to
+# exhaust the interpreter's stack.
 
 MAX_POWER_SIZE = 1024
+MAX_NESTING = 100
 
 
 def _size(x):
@@ -641,163 +639,21 @@ def parse_scalar(text):
     """Parse an expression in p into a canonical Scalar.
 
     Accepts integer and rational literals, the parameter p, the operators
-    + - * / ^, and parentheses.  str(Scalar) round-trips through this.
+    + - * / ^, and parentheses nested at most MAX_NESTING deep.
+    str(Scalar) round-trips through this.
     """
-    parser = _Parser(_tokenize(text))
+    toks = _tokenize(text)
+    depth = 0
+    for kind, _ in toks:
+        if kind == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ValueError(f"parentheses nested deeper than {MAX_NESTING}")
+        elif kind == ")":
+            depth -= 1
+    parser = _Parser(toks)
     val = parser.expr()
     if parser.pos != len(parser.toks):
         raise ValueError(f"trailing input in scalar expression: {text!r}")
     return val
 
-
-# ---------------------------------------------------------------------------
-# truncated power series
-
-
-class PowerSeries:
-    """A power series truncated at a fixed order.
-
-    ``coeffs[k]`` is the coefficient of t^k; the truncation order is
-    len(coeffs) - 1.  Coefficients can be Fractions or Scalars (any exact
-    field element supporting the arithmetic operators).  Binary operations
-    truncate to the smaller order of the two operands.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = tuple(coeffs)
-        if not coeffs:
-            raise ValueError("a truncated series needs at least the t^0 term")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PowerSeries is immutable")
-
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, k):
-        return self.coeffs[k]
-
-    def __eq__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        inner = ", ".join(str(c) for c in self.coeffs)
-        return f"PowerSeries([{inner}])"
-
-    def truncate(self, order):
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return PowerSeries(self.coeffs[: order + 1])
-
-    def _one(self):
-        return self.coeffs[0] ** 0
-
-    def __add__(self, other):
-        n = min(self.order, other.order)
-        return PowerSeries(
-            tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1))
-        )
-
-    def __sub__(self, other):
-        n = min(self.order, other.order)
-        return PowerSeries(
-            tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1))
-        )
-
-    def __mul__(self, other):
-        if not isinstance(other, PowerSeries):
-            return PowerSeries(tuple(c * other for c in self.coeffs))
-        n = min(self.order, other.order)
-        zero = self.coeffs[0] * 0
-        out = [zero] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs[: n + 1 - i]):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return PowerSeries(out)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self):
-        """Multiplicative inverse; requires an invertible constant term."""
-        c = self.coeffs
-        if not c[0]:
-            raise ZeroDivisionError("series with zero constant term")
-        b0 = self._one() / c[0]
-        out = [b0]
-        for n in range(1, self.order + 1):
-            acc = c[0] * 0
-            for k in range(1, n + 1):
-                if k < len(c) and c[k]:
-                    acc = acc + c[k] * out[n - k]
-            out.append(-b0 * acc)
-        return PowerSeries(out)
-
-    def derivative(self):
-        """Termwise d/dt, one order lower (constants go to the zero series)."""
-        c = self.coeffs
-        if len(c) == 1:
-            return PowerSeries((c[0] * 0,))
-        return PowerSeries(tuple(c[k] * k for k in range(1, len(c))))
-
-    def integral(self):
-        """Termwise integral with zero constant term, one order higher."""
-        zero = self.coeffs[0] * 0
-        return PowerSeries(
-            (zero,) + tuple(self.coeffs[k] / (k + 1) for k in range(len(self.coeffs)))
-        )
-
-    def exp(self):
-        """exp of a series with zero constant term, same order."""
-        c = self.coeffs
-        if c[0]:
-            raise ValueError("exp needs a zero constant term")
-        out = [self._one()]
-        for n in range(1, self.order + 1):
-            acc = c[0] * 0
-            for k in range(1, n + 1):
-                if c[k]:
-                    acc = acc + (c[k] * k) * out[n - k]
-            out.append(acc / n)
-        return PowerSeries(out)
-
-    def log(self):
-        """log of a series with constant term 1, same order."""
-        c = self.coeffs
-        one = self._one()
-        if c[0] != one:
-            raise ValueError("log needs constant term 1")
-        zero = c[0] * 0
-        out = [zero]
-        for n in range(1, self.order + 1):
-            acc = c[n] * n
-            for k in range(1, n):
-                acc = acc - (out[k] * k) * c[n - k]
-            out.append(acc / n)
-        return PowerSeries(out)
-
-
-def series_log_derivative(series):
-    """P'(t)/P(t) for a series with constant term 1, one order lower."""
-    one = series.coeffs[0] ** 0
-    if series.coeffs[0] != one:
-        raise ValueError("logarithmic derivative needs constant term 1")
-    if series.order == 0:
-        raise ValueError("need at least order 1")
-    return series.derivative() * series.truncate(series.order - 1).reciprocal()
-
-
-def series_exp_integral(series):
-    """exp of the termwise integral, one order higher than the input."""
-    return series.integral().exp()

@@ -94,9 +94,6 @@ class Matrix:
     def nnz(self):
         return sum(len(r) for r in self.data)
 
-    def copy(self):
-        return Matrix(self.rows, self.cols, [dict(r) for r in self.data])
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented

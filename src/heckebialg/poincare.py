@@ -1,12 +1,19 @@
-"""The series pipeline: cycle traces, Poincare series, and the two
+"""The series pipeline: cycle traces, Poincare series, and the
 recursions that tie them to the graded dimensions.
 
-The chain runs
+Every arrow of the chain is one recursion, read off coefficient by
+coefficient.  A series A with a_0 = 1 and A' = C A, that is
+A = exp of the integral of C, satisfies
 
-    s_n  --log-derivative-->  p_k  --exp-integral-->  e_n
-                                \\--signed recursion-->  b_n
+    n a_n = sum_{k<n} c_k a_{n-1-k},
 
-and every arrow is cross-validated elsewhere against direct rank
+which runs forward from c to a and solves backward from a to c.  So
+
+    s_n  --backward-->  p_k  --forward on p_k^2-->  e_n
+                          \\--forward on (-1)^k p_k^2-->  b_n
+
+and the character recursion [n]_q s_n = sum_{k<n} p_k s_{n-1-k} is the
+same sum.  Every arrow is cross-validated elsewhere against direct rank
 computations, so the formulas and the linear algebra must agree or the
 tests fail.  All arithmetic is exact (Fractions, or Scalars when the
 input is symbolic in p).
@@ -15,15 +22,7 @@ input is symbolic in p).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import (
-    ONE,
-    PowerSeries,
-    Scalar,
-    q_int,
-    rf_eval_at_one,
-    series_exp_integral,
-    series_log_derivative,
-)
+from .exactnum import ONE, Scalar, q_int, rf_eval_at_one
 from .rmatrix import cycle_trace, staircase_projector_trace
 
 __all__ = [
@@ -43,49 +42,62 @@ def _exact(x):
     return Fraction(x)
 
 
-def p_sequence_from_s(series, max_index):
-    """p_0..p_N from a symmetric-algebra Poincare series: P'_S / P_S.
+def _lagged_sum(c, a, n):
+    """sum_{k<n} c_k a_{n-1-k}, the coefficient of t^(n-1) in C(t) A(t); n >= 1."""
+    acc = c[0] * a[n - 1]
+    for k in range(1, n):
+        acc = acc + c[k] * a[n - 1 - k]
+    return acc
 
-    The series must have constant term 1 and order at least N + 1.
+
+def _exp_integral(c, max_degree):
+    """a_0..a_N with a_0 = 1 and n a_n = sum_{k<n} c_k a_{n-1-k}.
+
+    The coefficients of exp of the termwise integral of sum c_k t^k; needs
+    c_0..c_{N-1}.
     """
-    one = series.coeffs[0] ** 0
-    if series.coeffs[0] != one:
+    a = [c[0] ** 0 if c else Fraction(1)]
+    for n in range(1, max_degree + 1):
+        a.append(_lagged_sum(c, a, n) / n)
+    return a
+
+
+def p_sequence_from_s(s, max_index):
+    """p_0..p_N from the coefficients s_0..s_{N+1} of a symmetric-algebra
+    Poincare series P_S, so that sum p_k t^k = P'_S / P_S.
+
+    Solves the recursion for p: p_k = (k+1) s_{k+1} - sum_{j<k} p_j s_{k-j}.
+    The series must have constant term 1 and at least N + 2 coefficients.
+    """
+    s = [_exact(x) for x in s]
+    if not s or s[0] != s[0] ** 0:
         raise ValueError("Poincare series must have constant term 1")
-    if series.order < max_index + 1:
+    if len(s) < max_index + 2:
         raise ValueError(
             f"need order {max_index + 1} to read p_0..p_{max_index}, "
-            f"got order {series.order}"
+            f"got order {len(s) - 1}"
         )
-    logd = series_log_derivative(series)
-    return list(logd.coeffs[: max_index + 1])
+    tail, p = s[1:], []
+    for k in range(max_index + 1):
+        p.append((k + 1) * tail[k] - (_lagged_sum(p, tail, k) if k else 0))
+    return p
 
 
 def poincare_E(p, max_degree):
-    """exp of the termwise integral of sum p_k^2 t^k, truncated at N."""
+    """e_0..e_N: exp of the integral of sum p_k^2 t^k, truncated at N."""
     vals = [_exact(x) for x in p]
-    if max_degree == 0:
-        one = vals[0] ** 0 if vals else Fraction(1)
-        return PowerSeries([one])
     if len(vals) < max_degree:
         raise ValueError(f"need p_0..p_{max_degree - 1} for order {max_degree}")
-    squares = PowerSeries([v * v for v in vals[:max_degree]])
-    return series_exp_integral(squares)
+    return _exp_integral([v * v for v in vals[:max_degree]], max_degree)
 
 
 def b_sequence(p, max_index):
     """b_0 = 1 and n b_n = sum_{k<n} (-1)^k p_k^2 b_{n-k-1}."""
     vals = [_exact(x) for x in p]
-    if max_index > 0 and len(vals) < max_index:
+    if len(vals) < max_index:
         raise ValueError(f"need p_0..p_{max_index - 1} for b_{max_index}")
-    one = vals[0] ** 0 if vals else Fraction(1)
-    out = [one]
-    for n in range(1, max_index + 1):
-        acc = one * 0
-        for k in range(n):
-            term = vals[k] * vals[k] * out[n - k - 1]
-            acc = acc + term if k % 2 == 0 else acc - term
-        out.append(acc / n)
-    return out
+    signed = [v * v if k % 2 == 0 else -(v * v) for k, v in enumerate(vals[:max_index])]
+    return _exp_integral(signed, max_index)
 
 
 def t_specialize_p_from_operator(op, max_index):
@@ -148,9 +160,7 @@ def verify_character_recursion(op, max_degree):
     all_ok = True
     for n in range(1, max_degree + 1):
         lhs = q_int(n, op.q) * s[n]
-        rhs = s[0] * 0
-        for k in range(n):
-            rhs = rhs + p[k] * s[n - 1 - k]
+        rhs = _lagged_sum(p, s, n)
         ok = lhs == rhs
         all_ok = all_ok and ok
         rows.append((n, str(lhs), str(rhs), ok))

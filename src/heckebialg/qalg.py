@@ -16,10 +16,11 @@ dimensions need only ranks (``linalg.rank``), not bases.
 
 One run asks for the same value from several checks, so ``algebra_by_key``,
 ``graded_dimension`` and ``dual_graded_dimension`` (and
-``schur.centralizer_dimension``) are ``memoised``: each value is kept in the
-``memo`` of the operator or algebra it is computed from.  A run makes its
-operator once, so a value is computed once per run and lives as long as
-the run; each function keeps its own entries, so routes stay independent.
+``schur.centralizer_dimension`` and ``rmatrix.cycle_trace``) are
+``rmatrix.memoised``: each value is kept in the ``memo`` of the operator or
+algebra it is computed from.  A run makes its operator once, so a value is
+computed once per run and lives as long as the run; each function keeps
+its own entries, so routes stay independent.
 
 ``distributivity_check`` decides the lattice criterion for Koszulness: the
 subspace lattice generated by the shifted relation spaces must be
@@ -28,7 +29,6 @@ comparable pair of members is settled by one containment row-reduction,
 and every other pair by one exact sum and one exact intersection.
 """
 
-import functools
 import time
 from dataclasses import dataclass, field
 
@@ -41,14 +41,13 @@ from .linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from .rmatrix import matrix_space_operator
+from .rmatrix import matrix_space_operator, memoised
 
 __all__ = [
     "QuadraticAlgebra",
     "build_lambda",
     "build_s",
     "build_e",
-    "memoised",
     "algebra_by_key",
     "relation_lifts",
     "graded_dimension",
@@ -59,25 +58,6 @@ __all__ = [
     "distributivity_check",
     "subspace_lattice_distributivity",
 ]
-
-
-def memoised(fn):
-    """``fn(owner, arg)`` computed once per owner and arg, kept in ``owner.memo``.
-
-    The entry is keyed by the function's name and arg, so two functions
-    never share an entry.  Only exact, immutable values are memoised.
-    """
-    name = fn.__name__
-
-    @functools.wraps(fn)
-    def wrapper(owner, arg):
-        key = (name, arg)
-        memo = owner.memo
-        if key not in memo:
-            memo[key] = fn(owner, arg)
-        return memo[key]
-
-    return wrapper
 
 
 @dataclass(frozen=True)
@@ -240,7 +220,6 @@ class DistributivityReport:
     degree: int
     status: str  # "distributive" | "non_distributive" | "inconclusive"
     closure_size: int = 0
-    rounds: int = 0
     honest_ops: int = 0
     certified_ops: int = 0
     witness: tuple = None  # (u, v, w, lhs, rhs) as Subspaces
@@ -310,19 +289,19 @@ class _Lattice:
         return table[(i, j) if i <= j else (j, i)]
 
 
-def distributivity_check(algebra, n, cap=200, max_rounds=12, time_budget=None):
+def distributivity_check(algebra, n, cap=200, time_budget=None):
     """Decide distributivity of the lattice generated by the shifted
     relation spaces in degree n.
 
     Returns a DistributivityReport whose status is ``distributive``,
     ``non_distributive`` (with a witness triple and both sides), or
-    ``inconclusive`` when the closure exceeds ``cap`` subspaces,
-    ``max_rounds`` closure rounds, or the optional time budget.
+    ``inconclusive`` when the closure exceeds ``cap`` subspaces or the
+    optional time budget runs out.  A closure round that does not close the
+    lattice adds a member, so the cap also bounds the number of rounds.
     """
     return subspace_lattice_distributivity(
         relation_lifts(algebra, n),
         cap=cap,
-        max_rounds=max_rounds,
         time_budget=time_budget,
         label=algebra.label,
         degree=n,
@@ -332,7 +311,6 @@ def distributivity_check(algebra, n, cap=200, max_rounds=12, time_budget=None):
 def subspace_lattice_distributivity(
     gens,
     cap=200,
-    max_rounds=12,
     time_budget=None,
     label="lattice",
     degree=0,
@@ -343,7 +321,6 @@ def subspace_lattice_distributivity(
         lat.add(g)
 
     report = DistributivityReport(label=label, degree=degree, status="inconclusive")
-    rounds = 0
     while True:
         size = len(lat.members)
         if size > cap:
@@ -358,21 +335,15 @@ def subspace_lattice_distributivity(
         if not pending:
             report.status = "closed"
             break
-        if rounds >= max_rounds:
-            report.note = f" not closed after {max_rounds} rounds"
-            break
-        rounds += 1
         for i, j in pending:
             lat.resolve_pair(i, j)
             if time_budget is not None and time.monotonic() - started > time_budget:
                 report.note = " time budget exhausted"
-                report.rounds = rounds
                 report.closure_size = len(lat.members)
                 report.honest_ops = lat.honest_ops
                 report.certified_ops = lat.certified_ops
                 return report
 
-    report.rounds = rounds
     report.closure_size = len(lat.members)
     report.honest_ops = lat.honest_ops
     report.certified_ops = lat.certified_ops

@@ -30,6 +30,7 @@ represented symmetrizer, whose trace ``staircase_projector_trace`` gives
 without building all of S_n.
 """
 
+import functools
 from fractions import Fraction
 
 from .exactnum import ONE, P, Q, Scalar, ZERO, q_int, scalar
@@ -52,6 +53,7 @@ __all__ = [
     "check_hecke",
     "check_yang_baxter",
     "operator_axiom_report",
+    "memoised",
     "rho_basis",
     "rho",
     "character",
@@ -61,13 +63,35 @@ __all__ = [
 ]
 
 
+def memoised(fn):
+    """``fn(owner, arg)`` computed once per owner and arg, kept in ``owner.memo``.
+
+    The owner is a HeckeOperator or a ``qalg.QuadraticAlgebra``; a run
+    makes each once, so a memoised value is computed once per run and
+    lives as long as the run.  The entry is keyed by the function's name
+    and arg, so two functions never share an entry.  Only exact, immutable
+    values are memoised.
+    """
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def wrapper(owner, arg):
+        key = (name, arg)
+        memo = owner.memo
+        if key not in memo:
+            memo[key] = fn(owner, arg)
+        return memo[key]
+
+    return wrapper
+
+
 class HeckeOperator:
     """An operator R on the square of a d-dimensional space, with its q.
 
     Also used for the induced operator on W = V* (x) V, which satisfies the
     braid relation only; run the check functions to see which axioms hold.
     ``specialized_at`` records a numeric value substituted for p, None for
-    honest symbolic entries.  ``memo`` holds the values ``qalg.memoised``
+    honest symbolic entries.  ``memo`` holds the values ``memoised``
     functions computed from this operator.
     """
 
@@ -78,7 +102,6 @@ class HeckeOperator:
         self.q = scalar(q)
         self.name = name
         self.specialized_at = specialized_at
-        self._rho_cache = {}
         self._inverse = None
         self.memo = {}
 
@@ -222,13 +245,9 @@ def operator_axiom_report(op, max_degree=8):
 def rho_basis(op, n):
     """rho(T_w) for every w in S_n, built by extending reduced words.
 
-    All n! matrices, cached on the operator.  Only what needs the whole
-    image uses it: the span in ``schur.bicommutant_check`` and ``rho`` of
-    a HeckeElement.
+    All n! matrices.  Only what needs the whole image uses it: the span in
+    ``schur.bicommutant_check`` and ``rho`` of a HeckeElement.
     """
-    cache = op._rho_cache
-    if n in cache:
-        return cache[n]
     d = op.d
     lifts = {i: op.lifted(i, n) for i in range(1, n)} if n > 1 else {}
     images = {tuple(range(1, n + 1)): Matrix.identity(d**n)}
@@ -244,7 +263,6 @@ def rho_basis(op, n):
                 images[wv] = base * lifts[i]
                 new_frontier.append(wv)
         frontier = new_frontier
-    cache[n] = images
     return images
 
 
@@ -275,8 +293,13 @@ def character(op, n, x):
     return rho(op, n, x).trace()
 
 
+@memoised
 def cycle_trace(op, k):
-    """p_k = chi(T_{c_{k+1}}) on V^(x)(k+1); p_0 = d, the trace of 1 on V."""
+    """p_k = chi(T_{c_{k+1}}) on V^(x)(k+1); p_0 = d, the trace of 1 on V.
+
+    Memoised on the operator: the q = 1 specialization and the character
+    recursion read the same p_k.
+    """
     n = k + 1
     return character(op, n, long_cycle(n, n))
 

@@ -15,8 +15,8 @@ from functools import lru_cache
 
 from .exactnum import rf_eval_at_one
 from .linalg import Matrix, commutant, commutant_equations, echelonize, rank
-from .qalg import build_e, graded_dimension, memoised
-from .rmatrix import character, rho_basis
+from .qalg import build_e, graded_dimension
+from .rmatrix import character, memoised, rho_basis
 
 __all__ = [
     "MAX_TABLE_DEGREE",

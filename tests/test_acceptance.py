@@ -112,7 +112,7 @@ def test_criterion_3_endomorphism_dimensions_three_routes(capsys):
             assert centralizer_dimension(DJ2, n) == expected[n]
         p = t_specialize_p_from_operator(DJ2, 4)
         series = poincare_E(p, 4)
-        assert [series.coeffs[n] for n in range(5)] == [
+        assert [series[n] for n in range(5)] == [
             Fraction(e) for e in expected
         ]
 
@@ -153,7 +153,7 @@ def test_criterion_6_superflip_dimensions(capsys):
         p = t_specialize_p_from_operator(SFLIP, 3)
         assert p == [Fraction(1 + (-1) ** k) for k in range(4)]
         series = poincare_E(p, 3)
-        assert [series.coeffs[n] for n in range(4)] == [
+        assert [series[n] for n in range(4)] == [
             Fraction(e) for e in expected
         ]
         # not the dimension sequence of any polynomial ring

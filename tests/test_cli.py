@@ -112,6 +112,27 @@ def test_oversized_power_rejected():
         operator_from_document(doc)
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [("entry", "bad scalar at entry (1, 2)"), ("q", "malformed operator document")],
+    ids=["entry", "q"],
+)
+def test_deeply_nested_scalar_refused(field, message, tmp_path, capsys):
+    # the parser recurses per parenthesis, so deep nesting is refused before it starts
+    deep = "(" * 5000 + "p" + ")" * 5000
+    doc = operator_to_document(dj_r_matrix(2))
+    if field == "q":
+        doc["q"] = deep
+    else:
+        doc["entries"][1][2] = deep
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(doc))
+    assert run(["axioms", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "nested deeper" in captured.err
+    assert captured.out == ""
+
+
 def test_file_over_budget_refused_before_parsing(tmp_path, capsys):
     # the Yang-Baxter check of a d = 2 file works in dimension d^3 = 8
     path = tmp_path / "op.json"

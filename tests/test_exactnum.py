@@ -1,33 +1,29 @@
-"""Scalar field and truncated-series tests.
+"""Scalar field tests.
 
 Expected values were frozen from independent oracles: pointwise Fraction
-arithmetic at random sample points for the field axioms, and closed-form
-binomial series for the series transforms.
+arithmetic at random sample points for the field axioms.
 """
 
 import random
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from heckebialg.exactnum import (
+    MAX_NESTING,
     MAX_POWER_SIZE,
     ONE,
     P,
     Q,
     ZERO,
     PoleAtOneError,
-    PowerSeries,
     Scalar,
     parse_scalar,
     q_fact,
     q_int,
     rf_eval_at_one,
     scalar,
-    series_exp_integral,
-    series_log_derivative,
 )
 from heckebialg.exactnum import _add_pair, _mul_pair, _pgcd
 from heckebialg.linalg import Matrix
@@ -213,6 +209,21 @@ def test_parse_bounds_powers():
             parse_scalar(bad)
 
 
+def test_parse_bounds_nesting():
+    # refused before the parser recurses, whatever the parentheses hold
+    nested = "(" * MAX_NESTING + "p" + ")" * MAX_NESTING
+    assert parse_scalar(nested) == P
+    assert parse_scalar(f"-{nested} + ((1))") == 1 - P
+    for bad in [
+        "(" * (MAX_NESTING + 1) + "p" + ")" * (MAX_NESTING + 1),
+        "(" * 5000 + "p" + ")" * 5000,
+        "(" * 5000,  # unbalanced: refused for depth before the parser sees it
+        "1+" + "-(" * 5000 + "2" + ")" * 5000,
+    ]:
+        with pytest.raises(ValueError, match="nested deeper"):
+            parse_scalar(bad)
+
+
 # ---------------------------------------------------------------------------
 # memoised arithmetic
 
@@ -266,93 +277,3 @@ def test_caches_stay_bounded_on_a_dense_elimination():
     # the product and sum caches saw more distinct pairs than they hold
     assert _mul_pair.cache_info().misses > _mul_pair.cache_info().maxsize
     assert _add_pair.cache_info().misses > _add_pair.cache_info().maxsize
-
-
-# ---------------------------------------------------------------------------
-# power series
-
-
-def geometric(ratio, order):
-    """1/(1 - ratio*t) truncated; oracle by explicit powers."""
-    return PowerSeries([Fraction(ratio) ** k for k in range(order + 1)])
-
-
-def test_series_arithmetic_truncates_to_min_order():
-    a = PowerSeries([Fraction(k) for k in range(6)])
-    b = PowerSeries([Fraction(1), Fraction(1), Fraction(1)])
-    assert (a + b).order == 2
-    assert (a * b).order == 2
-    assert (a * b).coeffs == (Fraction(0), Fraction(1), Fraction(3))
-
-
-def test_series_reciprocal():
-    g = geometric(1, 8)
-    inv = g.reciprocal()
-    assert inv.coeffs[:2] == (Fraction(1), Fraction(-1))
-    assert all(c == 0 for c in inv.coeffs[2:])
-    assert (g * inv).coeffs == (Fraction(1),) + (Fraction(0),) * 8
-
-
-def test_series_derivative_integral_round_trip():
-    rng = random.Random(99)
-    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(9)]
-    s = PowerSeries(coeffs)
-    assert s.integral().derivative() == s
-    assert s.integral().order == s.order + 1
-
-
-def test_series_exp_log_round_trip():
-    rng = random.Random(123)
-    coeffs = [Fraction(1)] + [
-        Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(8)
-    ]
-    s = PowerSeries(coeffs)
-    assert s.log().exp() == s
-    z = PowerSeries([Fraction(0)] + coeffs[1:])
-    assert z.exp().log() == z
-
-
-def test_series_log_derivative_of_inverse_square():
-    # P(t) = (1-t)^-2 has coefficients n+1; P'/P = 2/(1-t)
-    s = PowerSeries([Fraction(n + 1) for n in range(7)])
-    ld = series_log_derivative(s)
-    assert ld.order == 6 - 1 + 0  # one order lower
-    assert ld.coeffs == (Fraction(2),) * 6
-
-
-def test_series_exp_integral_binomial():
-    # exp(integral(4/(1-t))) = (1-t)^-4, coefficients C(3+n, n)
-    p2 = PowerSeries([Fraction(4)] * 5)
-    e = series_exp_integral(p2)
-    assert e.order == 5
-    assert tuple(e.coeffs) == tuple(Fraction(comb(3 + n, n)) for n in range(6))
-    assert e.coeffs[:5] == (1, 4, 10, 20, 35)
-
-
-def test_series_exp_integral_even_geometric():
-    # exp(integral(4/(1-t^2))) = ((1+t)/(1-t))^2: 1, 4, 8, 12, 16, ...
-    p2 = PowerSeries([Fraction(4) if k % 2 == 0 else Fraction(0) for k in range(7)])
-    e = series_exp_integral(p2)
-    assert tuple(e.coeffs) == (1, 4, 8, 12, 16, 20, 24, 28)
-
-
-def test_series_over_scalars():
-    s = PowerSeries([ONE, q_int(2), q_int(3)])
-    t = s * s
-    assert t.coeffs[0] == ONE
-    assert t.coeffs[1] == 2 * q_int(2)
-    assert t.coeffs[2] == q_int(2) ** 2 + 2 * q_int(3)
-    assert (s * s.reciprocal()).coeffs == (ONE, ZERO, ZERO)
-
-
-def test_series_guards():
-    with pytest.raises(ZeroDivisionError):
-        PowerSeries([Fraction(0), Fraction(1)]).reciprocal()
-    with pytest.raises(ValueError):
-        PowerSeries([Fraction(1), Fraction(1)]).exp()
-    with pytest.raises(ValueError):
-        PowerSeries([Fraction(2)]).log()
-    with pytest.raises(ValueError):
-        series_log_derivative(PowerSeries([Fraction(2), Fraction(1)]))
-    with pytest.raises(ValueError):
-        PowerSeries([])

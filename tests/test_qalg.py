@@ -220,12 +220,6 @@ def test_cap_gives_inconclusive():
     assert "cap" in rep.note
 
 
-def test_round_limit_gives_inconclusive():
-    op = dj_r_matrix(2)
-    rep = distributivity_check(build_s(op), 3, max_rounds=0)
-    assert rep.status == "inconclusive"
-
-
 def test_time_budget_gives_inconclusive():
     op = dj_r_matrix(2)
     rep = distributivity_check(build_e(op), 3, time_budget=0.0)
