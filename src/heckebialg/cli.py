@@ -164,6 +164,9 @@ def load_operator(path, budget=DEFAULT_BUDGET):
         raise CLIError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CLIError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        # the decoder recurses once per nested array or object
+        raise CLIError(f"{path} is nested too deeply to be an operator document") from None
     return operator_from_document(doc, budget)
 
 

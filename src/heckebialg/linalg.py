@@ -6,9 +6,22 @@ act on row vectors from the right, x -> x*M, so the image of an operator is
 the row space of its matrix and products compose left to right.
 
 Subspaces are kept in reduced row echelon form, which is unique, so
-subspace equality is literal row equality.  Sums stack and re-echelonize;
-intersections use the Zassenhaus doubled-block trick (no inner products,
-exactness preserved).
+subspace equality is literal row equality.  ``sum_and_intersection``
+settles a pair U, W (dim U <= dim W) by reducing each basis row u_i of U
+modulo W, whose pivot lookup already exists: r_i is the remainder, so
+u_i - r_i lies in W.  If every r_i is zero, U lies in W and the operands
+are the answer.  Otherwise it echelonizes the tagged rows [r_i | u_i] in
+2m columns (no inner products, exactness preserved).  A row whose pivot
+is in the right block has a zero left part, a combination of the r_i
+that vanishes, so its right part lies in U & W, and these rows span it.
+Among themselves they are already in reduced echelon form, since every
+row of the echelon form is zero at the other rows' pivots; shifted, they
+are the basis of U & W without a second elimination.  The left parts of
+the other rows are zero at W's pivots, as the r_i are, so appended to
+W's basis they give U + W in one more ``echelonize`` that clears nothing
+on arrival.  ``subspace_intersect`` is the meet half alone;
+``subspace_sum`` (stack and re-echelonize) and ``Subspace.is_subspace_of``
+stay as the independent routes the tests compare against.
 
 The elimination kernel (``echelonize``, ``Subspace.reduce_vector``) costs
 what the nonzeros it touches cost, not the rank, by two invariants:
@@ -47,6 +60,7 @@ __all__ = [
     "rank",
     "subspace_sum",
     "subspace_intersect",
+    "sum_and_intersection",
     "kernel",
     "commutant_equations",
     "commutant",
@@ -377,24 +391,56 @@ def subspace_sum(u, w):
 
 
 def subspace_intersect(u, w):
-    """Zassenhaus: echelonize [u|u] over [w|0]; left-zero rows carry it."""
+    """U & W: the meet half of ``sum_and_intersection``, no sum built."""
+    small, _, tagged = _reduce_by_larger(u, w)
+    if tagged is None:
+        return small
+    return _split_tagged(tagged, u.ambient)[0]
+
+
+def sum_and_intersection(u, w):
+    """(U + W, U & W) from the smaller space's remainders modulo the larger.
+
+    When the smaller space lies in the larger, the operands themselves
+    come back, the larger as the sum and the smaller as the meet; any
+    other pair gets two new Subspaces.
+    """
+    small, big, tagged = _reduce_by_larger(u, w)
+    if tagged is None:
+        return big, small
+    meet, left = _split_tagged(tagged, u.ambient)
+    return echelonize(list(big.basis) + left, u.ambient), meet
+
+
+def _reduce_by_larger(u, w):
+    """(small, big, tagged) with dim small <= dim big, u first on a tie.
+
+    ``tagged`` is None when every basis row of small reduces to zero
+    modulo big; otherwise it is the echelon form of the rows [r_i | u_i]
+    in 2m columns, r_i the remainder of the basis row u_i.
+    """
     assert u.ambient == w.ambient
+    small, big = (u, w) if u.dim <= w.dim else (w, u)
+    remainders = [big.reduce_vector(row) for row in small.basis]
+    if not any(remainders):
+        return small, big, None
     m = u.ambient
-    if u.dim == 0 or w.dim == 0:
-        return echelonize([], m)
-    stacked = []
-    for row in u.basis:
-        d = dict(row)
+    for rem, row in zip(remainders, small.basis):
         for j, v in row.items():
-            d[j + m] = v
-        stacked.append(d)
-    stacked.extend(dict(row) for row in w.basis)
-    big = echelonize(stacked, 2 * m)
-    inter_rows = []
-    for p, row in zip(big.pivots, big.basis):
+            rem[j + m] = v
+    return small, big, echelonize(remainders, 2 * m)
+
+
+def _split_tagged(tagged, m):
+    """Split a tagged echelon form into U & W and the left parts for U + W."""
+    meet_rows, meet_pivots, left = [], [], []
+    for p, row in zip(tagged.pivots, tagged.basis):
         if p >= m:
-            inter_rows.append({j - m: v for j, v in row.items()})
-    return echelonize(inter_rows, m)
+            meet_rows.append({j - m: v for j, v in row.items()})
+            meet_pivots.append(p - m)
+        else:
+            left.append({j: v for j, v in row.items() if j < m})
+    return Subspace(m, tuple(meet_rows), tuple(meet_pivots)), left
 
 
 def kernel(mat):

@@ -24,9 +24,13 @@ its own entries, so routes stay independent.
 
 ``distributivity_check`` decides the lattice criterion for Koszulness: the
 subspace lattice generated by the shifted relation spaces must be
-distributive.  The closure is computed symbolically throughout: a
-comparable pair of members is settled by one containment row-reduction,
-and every other pair by one exact sum and one exact intersection.
+distributive.  The closure is computed symbolically throughout.  Each pair
+of members is settled from one reduction of the smaller member's basis
+modulo the larger: all remainders zero means the pair is comparable, and
+otherwise one elimination of the tagged remainders gives both the exact
+meet and the rows that complete the larger member to the sum.  Once the
+lattice is closed, the distributive law is checked on lists of sum and
+meet indices.
 """
 
 import time
@@ -39,7 +43,7 @@ from .linalg import (
     lift_rows,
     rank,
     subspace_intersect,
-    subspace_sum,
+    sum_and_intersection,
 )
 from .rmatrix import matrix_space_operator, memoised
 
@@ -240,10 +244,12 @@ class DistributivityReport:
 class _Lattice:
     """Closure of subspaces under sum and intersection, fully certified.
 
-    Every table entry is backed by exact symbolic row-reduction: a
-    comparable pair is settled by one containment check (the larger member
-    is the sum, the smaller the meet); any other pair gets one honest
-    ``subspace_sum`` and one honest ``subspace_intersect``.
+    Every table entry is backed by exact symbolic row-reduction: each pair
+    is one ``sum_and_intersection``, which reduces the smaller member's
+    basis modulo the larger.  When every remainder is zero the pair is
+    comparable and the members themselves come back (``certified``: the
+    larger is the sum, the smaller the meet); otherwise one elimination of
+    the tagged remainders gives the meet and the sum (``eliminations``).
     """
 
     def __init__(self):
@@ -275,15 +281,16 @@ class _Lattice:
             self.meet_table[key] = i
             return
         u, w = self.members[i], self.members[j]
-        small, big = (i, j) if u.dim <= w.dim else (j, i)
-        if self.members[small].is_subspace_of(self.members[big]):
+        total, meet = sum_and_intersection(u, w)
+        if meet is u or meet is w:
+            # the operands came back: the pair is comparable
             self.certified_ops += 2
-            self.sum_table[key] = big
-            self.meet_table[key] = small
+            self.sum_table[key] = i if total is u else j
+            self.meet_table[key] = i if meet is u else j
             return
         self.honest_ops += 2
-        self.sum_table[key] = self.add(subspace_sum(u, w))
-        self.meet_table[key] = self.add(subspace_intersect(u, w))
+        self.sum_table[key] = self.add(total)
+        self.meet_table[key] = self.add(meet)
 
     def op(self, table, i, j):
         return table[(i, j) if i <= j else (j, i)]
@@ -352,15 +359,16 @@ def subspace_lattice_distributivity(
 
     # closure complete: distributivity is now pure table lookup
     size = len(lat.members)
+    join = [[lat.op(lat.sum_table, i, j) for j in range(size)] for i in range(size)]
+    meet = [[lat.op(lat.meet_table, i, j) for j in range(size)] for i in range(size)]
     for u in range(size):
+        meet_u = meet[u]
         for v in range(size):
+            join_v = join[v]
+            join_uv = join[meet_u[v]]
             for w in range(v, size):
-                lhs = lat.op(lat.meet_table, u, lat.op(lat.sum_table, v, w))
-                rhs = lat.op(
-                    lat.sum_table,
-                    lat.op(lat.meet_table, u, v),
-                    lat.op(lat.meet_table, u, w),
-                )
+                lhs = meet_u[join_v[w]]
+                rhs = join_uv[meet_u[w]]
                 if lhs != rhs:
                     report.status = "non_distributive"
                     report.witness = (

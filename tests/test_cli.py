@@ -133,6 +133,16 @@ def test_deeply_nested_scalar_refused(field, message, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_deeply_nested_json_refused(tmp_path, capsys):
+    # the JSON decoder recurses per nested array, so the file is refused, not a traceback
+    path = tmp_path / "op.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert run(["axioms", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "nested too deeply" in captured.err
+    assert captured.out == ""
+
+
 def test_file_over_budget_refused_before_parsing(tmp_path, capsys):
     # the Yang-Baxter check of a d = 2 file works in dimension d^3 = 8
     path = tmp_path / "op.json"

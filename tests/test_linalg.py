@@ -25,6 +25,7 @@ from heckebialg.linalg import (
     specialize_rows,
     subspace_intersect,
     subspace_sum,
+    sum_and_intersection,
 )
 from heckebialg.qalg import build_e
 from heckebialg.rmatrix import HeckeOperator, dj_r_matrix, super_flip
@@ -69,6 +70,30 @@ def sparse_rows(rng, nrows, ambient, per_row=4):
         cols = {(base + rng.randrange(16)) % ambient for _ in range(per_row)}
         rows.append({j: Fraction(rng.choice((-2, -1, 1, 3))) for j in cols})
     return rows
+
+
+def zassenhaus_intersect(u, w):
+    """U & W by the doubled-block trick, independent of the remainder route.
+
+    Echelonize [u|u] stacked over [w|0] in 2m columns; the rows whose pivot
+    is in the right block carry the intersection.
+    """
+    m = u.ambient
+    if u.dim == 0 or w.dim == 0:
+        return echelonize([], m)
+    stacked = []
+    for row in u.basis:
+        d = dict(row)
+        for j, v in row.items():
+            d[j + m] = v
+        stacked.append(d)
+    stacked.extend(dict(row) for row in w.basis)
+    big = echelonize(stacked, 2 * m)
+    inter_rows = []
+    for p, row in zip(big.pivots, big.basis):
+        if p >= m:
+            inter_rows.append({j - m: v for j, v in row.items()})
+    return echelonize(inter_rows, m)
 
 
 def dense_rref(rows, ambient):
@@ -368,6 +393,61 @@ def test_modular_dimension_law():
         assert s.dim + i.dim == u.dim + w.dim
         assert i.is_subspace_of(u) and i.is_subspace_of(w)
         assert u.is_subspace_of(s) and w.is_subspace_of(s)
+
+
+@st.composite
+def subspace_pairs(draw):
+    """Two sparse subspaces of one ambient; the first may lie in the second.
+
+    Half the draws build the first from combinations of the second's
+    basis, which gives contained pairs and, when the combinations span,
+    equal spaces held as distinct objects.
+    """
+    symbolic = draw(st.booleans())
+    ambient = draw(st.integers(1, 8))
+    entries = field_entries(symbolic)
+    row = st.dictionaries(st.integers(0, ambient - 1), entries, max_size=4)
+    w = echelonize(draw(st.lists(row, max_size=6)), ambient)
+    if draw(st.booleans()) and w.dim:
+        combos = []
+        for _ in range(draw(st.integers(1, w.dim + 1))):
+            combo = {}
+            for src in w.basis:
+                c = draw(entries)
+                for j, v in src.items():
+                    combo[j] = combo.get(j, 0 * v) + c * v
+            combos.append(combo)
+        u = echelonize(combos, ambient)
+    else:
+        u = echelonize(draw(st.lists(row, max_size=6)), ambient)
+    return u, w
+
+
+def _pair(rows_u, rows_w, ambient):
+    return echelonize(rows_u, ambient), echelonize(rows_w, ambient)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subspace_pairs())
+@example(_pair([], [], 3))
+@example(_pair([], [{0: Fraction(1, 2)}], 3))
+@example(_pair([{0: ONE}, {1: ONE}], [{2: ONE}, {3: ONE}], 4))
+@example(_pair([{0: ONE, 1: P}], [{0: P + 1, 1: P * P + P}, {2: ONE}], 3))
+@example(_pair([{0: ONE / (P + 1), 1: P}, {2: Q}], [{0: ONE, 1: P * P + P}, {1: ONE / (P - 1)}], 3))
+@example(_pair([{0: Fraction(1, 3), 2: Fraction(2)}], [{2: Fraction(6)}, {0: Fraction(1)}], 3))
+def test_sum_and_intersection_match_oracles(pair):
+    u, w = pair
+    for a, b in ((u, w), (w, u)):
+        total, meet = sum_and_intersection(a, b)
+        assert total == subspace_sum(a, b)
+        assert meet == zassenhaus_intersect(a, b)
+        assert subspace_intersect(a, b) == meet
+        small, big = (a, b) if a.dim <= b.dim else (b, a)
+        if small.is_subspace_of(big):
+            # a comparable pair hands back its operands, so the lattice counts it certified
+            assert total is big and meet is small
+        else:
+            assert meet is not a and meet is not b
 
 
 def test_subspace_equality_and_membership():

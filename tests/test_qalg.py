@@ -4,7 +4,7 @@ import pytest
 from fractions import Fraction
 
 from heckebialg.exactnum import ONE, ZERO
-from heckebialg.linalg import Matrix, echelonize, subspace_intersect, subspace_sum
+from heckebialg.linalg import Matrix, echelonize, subspace_sum
 from heckebialg.qalg import (
     QuadraticAlgebra,
     _Lattice,
@@ -20,6 +20,7 @@ from heckebialg.qalg import (
     subspace_lattice_distributivity,
 )
 from heckebialg.rmatrix import HeckeOperator, dj_r_matrix, flip_operator, super_flip
+from test_linalg import zassenhaus_intersect
 
 
 def binom(n, k):
@@ -265,7 +266,25 @@ def test_lattice_tables_match_direct_sum_and_intersection(build, n):
     for (i, j), s in lat.sum_table.items():
         u, w = lat.members[i], lat.members[j]
         assert lat.members[s] == subspace_sum(u, w)
-        assert lat.members[lat.meet_table[(i, j)]] == subspace_intersect(u, w)
+        assert lat.members[lat.meet_table[(i, j)]] == zassenhaus_intersect(u, w)
+
+
+@pytest.mark.parametrize(
+    "make, build, n, counters",
+    [
+        (lambda: dj_r_matrix(2), build_e, 4, (18, 84, 222)),
+        (lambda: super_flip(1, 1), build_e, 4, (18, 84, 222)),
+        (lambda: dj_r_matrix(2), build_lambda, 5, (34, 484, 638)),
+        (lambda: dj_r_matrix(3), build_s, 4, (18, 84, 222)),
+        (lambda: dj_r_matrix(2), build_s, 4, (10, 26, 64)),
+    ],
+    ids=["E-dj2-n4", "E-superflip11-n4", "Lambda-dj2-n5", "S-dj3-n4", "S-dj2-n4"],
+)
+def test_lattice_counters_are_pinned(make, build, n, counters):
+    # the verdict alone would not show a closure that does more or less work
+    rep = distributivity_check(build(make()), n)
+    assert rep.status == "distributive"
+    assert (rep.closure_size, rep.honest_ops, rep.certified_ops) == counters
 
 
 def test_e_dj2_distributive_n3():
