@@ -417,14 +417,17 @@ def cmd_koszul(op, report, key, degree, cap, budget):
 
     started = time.monotonic()
     verdict = distributivity_check(algebra, degree, cap=cap)
+    computed = {
+        "status": verdict.status,
+        "closure_size": verdict.closure_size,
+        "eliminations": verdict.honest_ops,
+        "certified": verdict.certified_ops,
+    }
+    if verdict.status == "inconclusive":
+        computed["limit"] = verdict.note
     report.add(
         f"koszul/distributivity/{algebra.label}",
-        computed={
-            "status": verdict.status,
-            "closure_size": verdict.closure_size,
-            "eliminations": verdict.honest_ops,
-            "certified": verdict.certified_ops,
-        },
+        computed=computed,
         ok=verdict.status == "distributive",
         degree=degree,
         expected="distributive",

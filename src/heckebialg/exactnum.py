@@ -20,6 +20,15 @@ product about 80 times).  The caches are bounded LRU caches, together with
 the one on ``_pgcd``, all of one size ``_CACHE_SIZE``: a dense operator
 file has little reuse, and unbounded caches there more than double the
 peak memory of a run.
+
+The ``zp_*`` helpers serve the fraction-free ``linalg.rank``.  They work on
+rows of polynomials in Z[p], {column: tuple} dicts in the same tuple
+format, and never form a fraction: ``zp_row`` takes a row of Scalars,
+Fractions or ints into Z[p] by the lcm of its denominators,
+``zp_cofactors`` gives the multipliers that clear a pivot, ``zp_combine``
+applies them, and ``zp_primitive`` divides a row by the gcd of its entries.
+A rank counts the same after a row is scaled by any nonzero element of
+Q(p), which is why no result needs the canonical form of a Scalar.
 """
 
 from fractions import Fraction
@@ -438,6 +447,122 @@ def _mul_pair(n1, d1, n2, d2):
         n2 = _pquo_exact(n2, g)
         d1 = _pquo_exact(d1, g)
     return Scalar._content_reduced(_pmul(n1, n2), _pmul(d1, d2))
+
+
+# ---------------------------------------------------------------------------
+# rows over Z[p], for the fraction-free rank: {column: polynomial} dicts
+# whose entries are nonzero polynomial tuples
+
+
+def _plcm(a, b):
+    """lcm of two nonzero polynomials with positive leading coefficients."""
+    ca, pa = _pprim(a)
+    cb, pb = _pprim(b)
+    g = _pgcd(pa, pb)
+    if len(g) > 1:
+        pb = _pquo_exact(pb, g)
+    return _pscale(_pmul(pa, pb), ca // _igcd(ca, cb) * cb)
+
+
+def zp_row(row):
+    """A row of Scalars, Fractions or ints as a Z[p] row: its entries times
+    the lcm of their denominators (a specialized row lands in Z, as
+    constant polynomials).  Zero entries are dropped."""
+    entries = {}
+    dens = set()
+    for j, v in row.items():
+        if v:
+            if not isinstance(v, Scalar):
+                v = Scalar(v)
+            entries[j] = v
+            dens.add(v.den)
+    dens.discard(_PONE)
+    if not dens:
+        return {j: v.num for j, v in entries.items()}
+    lcm = _PONE
+    for d in dens:
+        lcm = _plcm(lcm, d)
+    factor = {d: _pquo_exact(lcm, d) for d in dens}
+    factor[_PONE] = lcm
+    return {j: _pmul(v.num, factor[v.den]) for j, v in entries.items()}
+
+
+def zp_primitive(row):
+    """A nonzero Z[p] row divided by the gcd of its entries in Z[p] (their
+    common integer content times their primitive gcd), signed so that the
+    entry in its first column has a positive leading coefficient."""
+    c = 0
+    for v in row.values():
+        c = _igcd(c, _pcontent(v))
+        if c == 1:
+            break
+    if row[min(row)][-1] < 0:
+        c = -c
+    g = min(row.values(), key=len)
+    if len(g) > 1:
+        for v in row.values():
+            g = _pgcd(g, v)
+            if len(g) == 1:
+                break
+    if len(g) > 1:
+        row = {j: _pquo_exact(v, g) for j, v in row.items()}
+    if c != 1:
+        row = {j: tuple(x // c for x in v) for j, v in row.items()}
+    return row
+
+
+def zp_cofactors(lead, f):
+    """(lead / g, f / g) for g the gcd of two nonzero polynomials in Z[p].
+
+    g is the positive integer content of the gcd times its primitive part,
+    so lead / g keeps the sign of lead.  A constant operand makes g an
+    integer, found without a polynomial gcd.
+    """
+    # the two commonest cases on sparse relation rows, with no gcd at all
+    if lead == _PONE:
+        return lead, f
+    if lead == f:
+        return _PONE, _PONE
+    c = _igcd(_pcontent(lead), _pcontent(f))
+    if len(lead) > 1 and len(f) > 1:
+        g = _pgcd(lead, f)
+        if len(g) > 1:
+            lead = _pquo_exact(lead, g)
+            f = _pquo_exact(f, g)
+    if c > 1:
+        lead = tuple(x // c for x in lead)
+        f = tuple(x // c for x in f)
+    return lead, f
+
+
+def zp_combine(vec, a, b, row):
+    """vec <- a * vec - b * row in place, for Z[p] rows and nonzero a, b.
+
+    The products run over the nonzero coefficients only: entries met in an
+    elimination over Q(p) with q = p^2 are often sparse in p.
+    """
+    if a != _PONE:
+        terms = [(i, x) for i, x in enumerate(a) if x]
+        for j, v in vec.items():
+            out = [0] * (len(a) + len(v) - 1)
+            for k, y in enumerate(v):
+                if y:
+                    for i, x in terms:
+                        out[i + k] += x * y
+            vec[j] = tuple(out)
+    terms = [(i, -x) for i, x in enumerate(b) if x]
+    for j, v in row.items():
+        out = list(vec.get(j, ()))
+        out += [0] * (len(b) + len(v) - 1 - len(out))
+        for k, y in enumerate(v):
+            if y:
+                for i, x in terms:
+                    out[i + k] += x * y
+        out = _ptrim(out)
+        if out:
+            vec[j] = out
+        else:
+            del vec[j]
 
 
 def _poly_str(c):

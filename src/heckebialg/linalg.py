@@ -46,12 +46,21 @@ insertion indices.  In dense rational-function rows most of the cost of
 ``echelonize`` is back-elimination, which is why the dimension-only routes
 (``graded_dimension``, ``centralizer_dimension``, the last intersection of
 ``dual_graded_dimension``) take a rank.
+
+``rank`` is also fraction-free, in the style of Bareiss (1968).  A row
+scaled by a nonzero element of Q(p) spans the same line, so rows are
+taken into Z[p] and combined by polynomial multipliers only; the count is
+exact without a single reduced fraction, which spares the gcd that every
+Scalar sum and product pays.  The multipliers are gcd cofactors and each
+stored row is made primitive, which holds the entries small.
+``echelonize`` and everything built on it stay in reduced Scalars: their
+bases must be canonical.
 """
 
 import heapq
 from fractions import Fraction
 
-from .exactnum import ONE, ZERO, Scalar
+from .exactnum import ONE, ZERO, Scalar, zp_cofactors, zp_combine, zp_primitive, zp_row
 
 __all__ = [
     "Matrix",
@@ -340,42 +349,49 @@ def echelonize(rows, ambient):
 def rank(rows):
     """Dimension of the span of the given sparse rows.
 
-    Forward elimination only.  ``stored[k]`` is the k-th independent row
-    without its pivot entry, scaled so that entry is an exact one; it is
-    zero at the pivots of rows 0..k-1.  An incoming row is reduced by the
-    stored rows whose pivots it holds, popped from a heap of insertion
+    Forward elimination over Z[p], fraction-free.  Scaling a row by a
+    nonzero element of Q(p) leaves the dimension alone, so an incoming row
+    is taken into Z[p] by the lcm of its denominators (``zp_row``) and no
+    step divides: a row holding f at the pivot of stored row k becomes
+    (lead_k/g) vec - (f/g) row_k, g = gcd(lead_k, f), which clears that
+    pivot and keeps the multipliers as small as they can be
+    (``zp_cofactors``, ``zp_combine``).  A row is made primitive once,
+    when it is stored (``zp_primitive``), which holds down the growth of
+    its entries.
+
+    ``stored[k]`` is the k-th independent row without its pivot entry
+    ``leads[k]``; it is zero at the pivots of rows 0..k-1.  The rows an
+    incoming row is reduced by are popped from a heap of insertion
     indices: a fill-in from row k can only be a pivot of a later row, so
     each row is met once, in order.  A column that cancels and fills in
     again is pushed twice; the second pop finds it absent and skips it.
     """
-    stored = []  # insertion index -> row without its pivot entry
+    stored = []  # insertion index -> primitive Z[p] row without its pivot entry
+    leads = []  # insertion index -> pivot entry of that row
     pivots = []  # insertion index -> pivot column
     index_of = {}  # pivot column -> insertion index
     for raw in rows:
-        vec = {j: v for j, v in raw.items() if v}
+        vec = zp_row(raw)
         heap = [index_of[j] for j in vec.keys() & index_of.keys()]
         heapq.heapify(heap)
         while heap:
             k = heapq.heappop(heap)
-            factor = vec.pop(pivots[k], None)
-            if factor is None:
+            f = vec.pop(pivots[k], None)
+            if f is None:
                 continue
             row = stored[k]
             for j in row.keys() - vec.keys():
                 later = index_of.get(j)
                 if later is not None:
                     heapq.heappush(heap, later)
-            _row_axpy(vec, -factor, row)
+            a, b = zp_cofactors(leads[k], f)
+            zp_combine(vec, a, b, row)
         if not vec:
             continue
         col = min(vec)
-        lead = vec.pop(col)
-        one = lead**0
-        if lead != one:
-            inv = one / lead
-            for j in vec:
-                vec[j] = vec[j] * inv
+        vec = zp_primitive(vec)
         index_of[col] = len(stored)
+        leads.append(vec.pop(col))
         pivots.append(col)
         stored.append(vec)
     return len(stored)

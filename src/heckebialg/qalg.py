@@ -227,17 +227,19 @@ class DistributivityReport:
     honest_ops: int = 0
     certified_ops: int = 0
     witness: tuple = None  # (u, v, w, lhs, rhs) as Subspaces
-    note: str = ""
+    note: str = ""  # for an inconclusive run, the limit that stopped it
 
     def __bool__(self):
         return self.status == "distributive"
 
     def __str__(self):
         extra = f" witness dims {tuple(s.dim for s in self.witness[:3])}" if self.witness else ""
+        if self.note:
+            extra += f" {self.note}"
         return (
             f"distributivity {self.label} n={self.degree}: {self.status}"
             f" (closure {self.closure_size}, {self.honest_ops} eliminations,"
-            f" {self.certified_ops} certified){extra}{self.note}"
+            f" {self.certified_ops} certified){extra}"
         )
 
 
@@ -331,7 +333,7 @@ def subspace_lattice_distributivity(
     while True:
         size = len(lat.members)
         if size > cap:
-            report.note = f" closure exceeded cap {cap}"
+            report.note = f"closure exceeded cap {cap}"
             break
         pending = [
             (i, j)
@@ -345,7 +347,7 @@ def subspace_lattice_distributivity(
         for i, j in pending:
             lat.resolve_pair(i, j)
             if time_budget is not None and time.monotonic() - started > time_budget:
-                report.note = " time budget exhausted"
+                report.note = f"time budget of {time_budget} s exhausted"
                 report.closure_size = len(lat.members)
                 report.honest_ops = lat.honest_ops
                 report.certified_ops = lat.certified_ops

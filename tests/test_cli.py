@@ -314,6 +314,23 @@ def test_koszul_inconclusive_exits_nonzero(tmp_path):
     assert not doc["ok"]
 
 
+def test_inconclusive_record_names_its_limit(tmp_path):
+    out = str(tmp_path / "r.json")
+    assert run(["koszul", "--builtin", "dj:2", "-a", "E", "-n", "4", "--cap", "5", "-o", out]) == 1
+    dist = [c for c in read_report(out)["checks"] if "distributivity" in c["name"]][0]
+    assert dist["computed"] == {
+        "status": "inconclusive",
+        "closure_size": 9,
+        "eliminations": 6,
+        "certified": 0,
+        "limit": "closure exceeded cap 5",
+    }
+    # a settled verdict carries no limit, so its record keeps its old keys
+    assert run(["koszul", "--builtin", "dj:2", "-a", "S", "-n", "3", "-o", out]) == 0
+    dist = [c for c in read_report(out)["checks"] if "distributivity" in c["name"]][0]
+    assert set(dist["computed"]) == {"status", "closure_size", "eliminations", "certified"}
+
+
 def test_schur_dj2(tmp_path):
     out = str(tmp_path / "r.json")
     assert run(["schur", "--builtin", "dj:2", "-n", "3", "-o", out]) == 0

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from heckebialg.exactnum import ONE, P, Q, ZERO, Scalar
 from heckebialg.linalg import (
@@ -281,13 +281,14 @@ def field_entries(draw, symbolic):
 
 
 @st.composite
-def row_lists(draw):
+def row_lists(draw, symbolic=None):
     """Sparse rows on a small ambient, some of them repeated or dependent."""
-    symbolic = draw(st.booleans())
+    if symbolic is None:
+        symbolic = draw(st.booleans())
     ambient = draw(st.integers(1, 8))
     entries = field_entries(symbolic)
     row = st.dictionaries(st.integers(0, ambient - 1), entries, max_size=4)
-    rows = draw(st.lists(row, max_size=6))
+    rows = draw(st.lists(row, max_size=10))
     for _ in range(draw(st.integers(0, 3))):
         if not rows:
             break
@@ -300,14 +301,52 @@ def row_lists(draw):
     return rows, ambient
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(row_lists())
 @example(([], 4))
 @example(([{0: ONE / (P + 1), 1: P}, {0: ONE, 1: P * P + P}, {1: ONE / (P - 1)}], 2))
 @example(([{2: Fraction(1, 3)}, {2: Fraction(1, 3)}, {0: Fraction(0)}], 3))
+# pivots sharing a factor: the lead divides the entry met (p + 1 | p^2 - 1),
+# the entry met divides the lead, where the row must be scaled first, and
+# constant leads, whose common factor is an integer
+@example(([{0: P + 1, 1: ONE}, {0: P * P - 1, 1: P - 1}], 2))
+@example(([{0: P * P - 1, 1: ONE}, {0: P + 1, 1: ONE}], 2))
+@example(([{0: Scalar(2), 1: P}, {0: 4 * P, 1: 2 * P * P}, {0: Scalar(6), 1: P + 1}], 2))
+# polynomial denominators, cleared by their lcm on arrival
+@example(([{0: ONE / (P + 1), 1: P / (P * P - 1)}, {0: P - 1, 1: P}, {1: ONE / (P - 1), 2: Q}], 3))
+# more rows than fit in the drawn lists, most of them dependent
+@example(
+    (
+        [{j: (P + 1) ** (j + k) / (P - k) for j in range(4)} for k in range(4)]
+        + [{0: P, 1: Q}, {0: P * P * P, 1: Q * Q}, {2: P + 1, 3: P * P - 1}, {0: P, 4: ONE}]
+        + [{0: P + 1, 1: P * P - 1}] * 3,
+        6,
+    )
+)
 def test_rank_matches_echelonize(case):
     rows, ambient = case
     assert rank(rows) == echelonize(rows, ambient).dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_lists(symbolic=True), st.fractions(-3, 3, max_denominator=4))
+@example(([{0: P - 1}], 1), Fraction(1))
+@example(([{0: ONE, 1: P}, {0: ONE, 1: ONE}, {1: Q - 1}], 2), Fraction(-1))
+def test_rank_at_a_specialization_is_at_most_symbolic(case, x):
+    # a minor that vanishes in Q(p) vanishes at every point: rank can only drop
+    rows, _ = case
+    try:
+        special = specialize_rows(rows, x)
+    except ZeroDivisionError:  # x is a pole of an entry
+        assume(False)
+    assert rank(special) <= rank(rows)
+
+
+def test_rank_of_e_relations_survives_p_equal_2():
+    algebra = build_e(dj_r_matrix(2))
+    m, n = algebra.generators, 3
+    rows = [r for i in range(1, n) for r in lift_rows(algebra.relations.basis, i, n, m)]
+    assert rank(specialize_rows(rows, Fraction(2))) == rank(rows) == m**n - 20
 
 
 CENTRALIZER_OPS = {
