@@ -395,7 +395,7 @@ def cmd_poincare(op, report, max_degree, budget):
         )
 
 
-def cmd_koszul(op, report, key, degree, cap, budget):
+def cmd_koszul(op, report, key, degree, cap, budget, time_budget=None):
     if degree < 2:
         raise CLIError(
             f"the Koszul checks need degree n >= 2 (got {degree}): "
@@ -416,7 +416,7 @@ def cmd_koszul(op, report, key, degree, cap, budget):
     )
 
     started = time.monotonic()
-    verdict = distributivity_check(algebra, degree, cap=cap)
+    verdict = distributivity_check(algebra, degree, cap=cap, time_budget=time_budget)
     computed = {
         "status": verdict.status,
         "closure_size": verdict.closure_size,
@@ -498,7 +498,7 @@ def cmd_schur(op, report, degree, budget):
     )
 
 
-def cmd_report(op, report, max_degree, cap, budget):
+def cmd_report(op, report, max_degree, cap, budget, time_budget=None):
     if max_degree < 1:
         raise CLIError(f"the report needs degree N >= 1 (got {max_degree})")
     cmd_axioms(op, report, max(max_degree, 8), budget)
@@ -507,7 +507,7 @@ def cmd_report(op, report, max_degree, cap, budget):
     cmd_poincare(op, report, max_degree, budget)
     if max_degree >= 2:
         for key in ("s", "lambda", "e"):
-            cmd_koszul(op, report, key, max_degree, cap, budget)
+            cmd_koszul(op, report, key, max_degree, cap, budget, time_budget)
     top = min(max_degree, 4)
     for n in range(2, top + 1):
         cmd_schur(op, report, n, budget)
@@ -515,6 +515,9 @@ def cmd_report(op, report, max_degree, cap, budget):
 
 # ---------------------------------------------------------------------------
 # argument plumbing
+
+
+TIME_BUDGET_HELP = "seconds each lattice closure may run before it is inconclusive"
 
 
 def _parser():
@@ -550,6 +553,7 @@ def _parser():
     p.add_argument("-a", "--algebra", default="E", choices=["S", "Lambda", "E"])
     p.add_argument("-n", "--degree", type=int, default=3)
     p.add_argument("--cap", type=int, default=200, help="closure size bound")
+    p.add_argument("--time-budget", type=float, default=None, help=TIME_BUDGET_HELP)
 
     p = sub.add_parser("schur", parents=[common], help="multiplicities and centralizers")
     p.add_argument("-n", "--degree", type=int, default=3)
@@ -557,6 +561,7 @@ def _parser():
     p = sub.add_parser("report", parents=[common], help="everything, one JSON document")
     p.add_argument("-N", "--max-degree", type=int, default=3)
     p.add_argument("--cap", type=int, default=200)
+    p.add_argument("--time-budget", type=float, default=None, help=TIME_BUDGET_HELP)
 
     return parser
 
@@ -568,6 +573,9 @@ def main(argv=None):
             raise CLIError(f"cannot write the report to {args.out}: no such directory")
         if getattr(args, "cap", 1) < 1:
             raise CLIError(f"the closure size bound --cap must be at least 1 (got {args.cap})")
+        time_budget = getattr(args, "time_budget", None)
+        if time_budget is not None and not time_budget > 0:
+            raise CLIError(f"the time budget must be a positive number of seconds (got {time_budget})")
         budget = ambient_budget(args)
         op = resolve_operator(args, budget)
         params = {}
@@ -586,16 +594,20 @@ def main(argv=None):
             cmd_poincare(op, report, args.max_degree, budget)
         elif args.command == "koszul":
             params = {"algebra": args.algebra, "degree": args.degree, "cap": args.cap}
+            if time_budget is not None:
+                params["time_budget"] = time_budget
             report = VerificationReport("koszul", op.name, params)
-            cmd_koszul(op, report, args.algebra.lower(), args.degree, args.cap, budget)
+            cmd_koszul(op, report, args.algebra.lower(), args.degree, args.cap, budget, time_budget)
         elif args.command == "schur":
             params = {"degree": args.degree}
             report = VerificationReport("schur", op.name, params)
             cmd_schur(op, report, args.degree, budget)
         elif args.command == "report":
             params = {"max_degree": args.max_degree, "cap": args.cap}
+            if time_budget is not None:
+                params["time_budget"] = time_budget
             report = VerificationReport("report", op.name, params)
-            cmd_report(op, report, args.max_degree, args.cap, budget)
+            cmd_report(op, report, args.max_degree, args.cap, budget, time_budget)
         if not report.checks:
             raise CLIError("these parameters give no checks to run")
     except CLIError as exc:

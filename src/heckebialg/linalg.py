@@ -35,6 +35,10 @@ what the nonzeros it touches cost, not the rank, by two invariants:
 
 Both visit their rows in ascending pivot order, the order of a full scan,
 so the exact operations performed do not depend on the lookups.
+``echelonize`` also stops reading rows once it holds as many as the
+ambient dimension: they span the whole space, whose reduced basis is the
+identity, so no later row can change the result.  A full-rank test (the
+bicommutant check's) then costs only the rows it takes to reach full rank.
 
 A dimension needs no basis, and ``rank`` returns only that: it is forward
 elimination, with no back-elimination and no basis built.  Its invariant
@@ -313,6 +317,10 @@ def echelonize(rows, ambient):
       is entered on every fill-in and never taken out on cancellation, so
       the index may name a row that no longer holds the column, or name it
       twice, but never misses one.
+
+    Once the stored rows number ``ambient`` they span k^ambient, every
+    later row lies in their span and the basis is the identity already,
+    so the rest of ``rows`` is never read.
     """
     row_of = {}  # pivot column -> its row, pivot entry an exact one
     holders = {}  # non-pivot column -> pivot columns of the rows that may hold it
@@ -342,6 +350,8 @@ def echelonize(rows, ambient):
             for j in fills:
                 holders[j].append(p)
         row_of[col] = vec
+        if len(row_of) == ambient:
+            break  # the whole space: every later row lies in it
     pivots = tuple(sorted(row_of))
     return Subspace(ambient, tuple(row_of[p] for p in pivots), pivots)
 
@@ -488,16 +498,18 @@ def commutant_equations(gens, dim):
         assert g.rows == dim and g.cols == dim
         gt = g.transpose()
         for i in range(dim):
+            # row i of -G, negated once for all dim equations that use it
+            neg_row = [(a, v, -v) for a, v in g.data[i].items()]
             for j in range(dim):
                 row = {}
                 # (XG)_ij term: X_ib G_bj  -> coefficient at column i*dim+b
                 for b, v in gt.data[j].items():
                     row[i * dim + b] = v
                 # (GX)_ij term: -G_ia X_aj -> coefficient at column a*dim+j
-                for a, v in g.data[i].items():
+                for a, v, nv in neg_row:
                     key = a * dim + j
                     cur = row.get(key)
-                    s = -v if cur is None else cur - v
+                    s = nv if cur is None else cur - v
                     if s:
                         row[key] = s
                     elif cur is not None:

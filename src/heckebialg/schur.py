@@ -5,6 +5,13 @@ dual component of the matrix bialgebra, so its dimension must match both the
 rank computation and the multiplicity formula sum m_lambda^2.  The m_lambda
 come from evaluating traces at q = 1 against the ordinary symmetric-group
 character table, computed here by the Murnaghan-Nakayama rule on beta-sets.
+
+The double centralizer (q-Schur-Weyl duality) says the span of the
+represented Hecke algebra is the commutant of that commutant.  The span
+always lies in the bicommutant, so ``bicommutant_check`` needs only a rank:
+the commutant equations of the centralizer, with the span's pivot columns
+deleted, must have full column rank, and the elimination stops once they
+do.  No basis of the bicommutant is built.
 """
 
 import math
@@ -270,21 +277,55 @@ class BicommutantReport:
 
 
 def bicommutant_check(op, n):
-    """The represented Hecke algebra equals its own bicommutant on V^(x)n."""
+    """The represented Hecke algebra equals its own bicommutant on V^(x)n.
+
+    c1 is the commutant of the lifted generators T_i and c2 the commutant
+    of c1; the span is that of the rho(T_w).  Each rho(T_w) is a product
+    of the T_i, which every element of c1 commutes with, so span <= c2.
+    Let P be the span's pivot columns, N = (d^n)^2.  An X in c2 minus the
+    combination of span rows that matches X on P lies in c2 and is zero
+    on P, and a nonzero element of the span is not zero on P, so
+
+        c2 = span (+) {X in c2 : X = 0 on P},
+
+    whose second summand is the kernel of E_P, the commutant equations of
+    c1 with the columns in P deleted:
+
+        dim c2 = dim span + (N - |P|) - rank E_P.
+
+    The check passes exactly when E_P has full column rank N - |P|, so no
+    basis of c2 is built: the rows of E_P come in from c1's basis matrices
+    in doubling batches, and the elimination stops when it reaches full
+    rank or the matrices run out.
+    """
     size = op.d**n
     gens = [op.lifted(i, n) for i in range(1, n)]
     c1 = commutant(gens, size)
-    c2 = commutant([_unvec(row, size) for row in c1.basis], size)
     images = rho_basis(op, n)
     span = echelonize([_vec_row(images[w]) for w in sorted(images)], size * size)
-    ok = span.dim == c2.dim and span == c2
+    # E_P's columns: the entries of X off the span's pivots, renumbered
+    off_pivots = sorted(set(range(size * size)) - set(span.pivots))
+    keep = {k: i for i, k in enumerate(off_pivots)}
+    free = len(keep)
+    reduced, start, batch = [], 0, 1
+    while len(reduced) < free and start < c1.dim:
+        mats = [_unvec(row, size) for row in c1.basis[start : start + batch]]
+        rows = [
+            {keep[k]: v for k, v in eq.items() if k in keep}
+            for eq in commutant_equations(mats, size)
+        ]
+        # the reduced rows clear nothing on arrival; echelonize stops at full rank
+        reduced = list(echelonize(reduced + rows, free).basis)
+        start += batch
+        batch *= 2
+    bicommutant = span.dim + free - len(reduced)
     return BicommutantReport(
         operator=op.name,
         n=n,
         hecke_span=span.dim,
         centralizer=c1.dim,
-        bicommutant=c2.dim,
-        ok=ok,
+        bicommutant=bicommutant,
+        ok=bicommutant == span.dim,
     )
 
 

@@ -331,6 +331,50 @@ def test_inconclusive_record_names_its_limit(tmp_path):
     assert set(dist["computed"]) == {"status", "closure_size", "eliminations", "certified"}
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["koszul", "-a", "E", "-n", "3"],
+        ["report", "-N", "2"],
+    ],
+)
+def test_exhausted_time_budget_is_inconclusive(args, tmp_path):
+    out = str(tmp_path / "r.json")
+    assert run(args + ["--builtin", "dj:2", "--time-budget", "1e-9", "-o", out]) == 1
+    doc = read_report(out)
+    assert doc["parameters"]["time_budget"] == 1e-9
+    dist = [c for c in doc["checks"] if "distributivity" in c["name"]]
+    assert dist
+    for c in dist:
+        assert c["computed"]["status"] == "inconclusive"
+        assert c["computed"]["limit"] == "time budget of 1e-09 s exhausted"
+        assert not c["ok"]
+
+
+def test_ample_time_budget_changes_no_check(tmp_path):
+    plain, timed = str(tmp_path / "plain.json"), str(tmp_path / "timed.json")
+    args = ["koszul", "--builtin", "dj:2", "-a", "S", "-n", "3"]
+    assert run(args + ["-o", plain]) == 0
+    assert run(args + ["--time-budget", "600", "-o", timed]) == 0
+    plain, timed = read_report(plain), read_report(timed)
+    # without the option the parameters are what they always were
+    assert "time_budget" not in plain["parameters"]
+    assert timed["parameters"] == {**plain["parameters"], "time_budget": 600.0}
+    for doc in (plain, timed):
+        for c in doc["checks"]:
+            c.pop("elapsed")
+    assert timed["checks"] == plain["checks"]
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+@pytest.mark.parametrize("command", [["koszul", "-n", "3"], ["report", "-N", "2"]])
+def test_nonpositive_time_budget_refused(command, value, capsys):
+    assert run(command + ["--builtin", "dj:2", "--time-budget", value]) == 2
+    captured = capsys.readouterr()
+    assert "time budget" in captured.err
+    assert captured.out == ""  # refused before any check ran
+
+
 def test_schur_dj2(tmp_path):
     out = str(tmp_path / "r.json")
     assert run(["schur", "--builtin", "dj:2", "-n", "3", "-o", out]) == 0

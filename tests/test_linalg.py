@@ -251,6 +251,21 @@ def test_echelonize_ignores_row_order_and_scale():
         assert echelonize(moved, ambient) == ech
 
 
+class Unreadable(dict):
+    def items(self):
+        raise AssertionError("echelonize read a row after reaching full rank")
+
+
+def test_echelonize_stops_at_full_rank():
+    # rows spanning k^4 over Q(p), then a row that must never be read
+    m = 4
+    rows = [{j: P**j + i for j in range(i, m)} for i in range(m)][::-1]
+    ech = echelonize(rows + [Unreadable({0: ONE})], m)
+    assert ech.pivots == tuple(range(m))
+    assert list(ech.basis) == [{j: ONE} for j in range(m)]
+    assert ech == echelonize(rows, m)
+
+
 def test_echelonize_symbolic_relations_match_specialized_oracle():
     algebra = build_e(dj_r_matrix(2))
     m, n = algebra.generators, 3

@@ -1,12 +1,17 @@
 """Character table, multiplicities, centralizer and bicommutant checks."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
+from heckebialg.exactnum import ONE, Q, ZERO, Scalar
+from heckebialg.linalg import Matrix, commutant, echelonize
 from heckebialg.qalg import build_e, graded_dimension
-from heckebialg.rmatrix import dj_r_matrix, flip_operator, super_flip
+from heckebialg.rmatrix import HeckeOperator, dj_r_matrix, flip_operator, rho_basis, super_flip
 from heckebialg.schur import (
+    _unvec,
+    _vec_row,
     bicommutant_check,
     centralizer_dimension,
     class_size,
@@ -173,8 +178,6 @@ def test_multiplicities_superflip_n2():
 
 
 def test_multiplicities_refuse_specialized_operator():
-    from fractions import Fraction
-
     op = dj_r_matrix(2).specialize(Fraction(3, 2))
     with pytest.raises(ValueError, match="specialized"):
         multiplicities(op, 2)
@@ -238,6 +241,62 @@ def test_bicommutant_flip2():
     rep = bicommutant_check(flip_operator(2), 3)
     assert rep.ok
     assert rep.hecke_span == 5
+
+
+def bicommutant_oracle(op, n):
+    """(span, centralizer, bicommutant, ok) with the bicommutant built in full.
+
+    c2 is the commutant of every basis matrix of c1, kernel basis and all,
+    and the check compares it with the span of the rho(T_w) literally.
+    """
+    size = op.d**n
+    c1 = commutant([op.lifted(i, n) for i in range(1, n)], size)
+    c2 = commutant([_unvec(row, size) for row in c1.basis], size)
+    images = rho_basis(op, n)
+    span = echelonize([_vec_row(images[w]) for w in sorted(images)], size * size)
+    return span.dim, c1.dim, c2.dim, span == c2
+
+
+def conjugate(op, rows):
+    g = Matrix.from_rows(rows)
+    gg = g.kron(g)
+    return HeckeOperator(op.d, gg * op.R * gg.inverse(), op.q, f"{op.name}^g")
+
+
+def diagonal_operator():
+    # not a Hecke operator: its bicommutant is all diagonal matrices
+    entries = [Scalar(k) for k in (1, 2, 3, 4)]
+    return HeckeOperator(2, Matrix(4, 4, [{i: v} for i, v in enumerate(entries)]), Q, "diag")
+
+
+BICOMMUTANT_CASES = (
+    [("dj:2", lambda: dj_r_matrix(2), n) for n in (1, 2, 3, 4)]
+    + [("dj:3", lambda: dj_r_matrix(3), n) for n in (2, 3)]
+    + [("superflip:1|1", lambda: super_flip(1, 1), n) for n in (3, 4)]
+    + [("flip:2", lambda: flip_operator(2), 3)]
+    + [("dj:2@p=3/2", lambda: dj_r_matrix(2).specialize(Fraction(3, 2)), n) for n in (2, 3)]
+    + [("dj:2^g", lambda: conjugate(dj_r_matrix(2), [[ONE, Scalar(2)], [ZERO, ONE]]), 3)]
+    + [("diag", diagonal_operator, n) for n in (2, 3)]
+)
+
+
+@pytest.mark.parametrize(
+    "make, n",
+    [case[1:] for case in BICOMMUTANT_CASES],
+    ids=[f"{name}-n{n}" for name, _, n in BICOMMUTANT_CASES],
+)
+def test_bicommutant_matches_full_commutant_oracle(make, n):
+    op = make()
+    rep = bicommutant_check(op, n)
+    assert (rep.hecke_span, rep.centralizer, rep.bicommutant, rep.ok) == bicommutant_oracle(op, n)
+
+
+def test_bicommutant_fails_on_a_diagonal_operator():
+    # the bicommutant holds every diagonal matrix, the span does not: the check must fail
+    for n, span, bicommutant in ((2, 2, 4), (3, 5, 8)):
+        rep = bicommutant_check(diagonal_operator(), n)
+        assert (rep.hecke_span, rep.bicommutant, rep.ok) == (span, bicommutant, False)
+        assert "FAIL" in str(rep)
 
 
 def test_bicommutant_report_str():
