@@ -417,21 +417,26 @@ def cmd_koszul(op, report, key, degree, cap, budget, time_budget=None):
 
     started = time.monotonic()
     verdict = distributivity_check(algebra, degree, cap=cap, time_budget=time_budget)
-    computed = {
-        "status": verdict.status,
-        "closure_size": verdict.closure_size,
-        "eliminations": verdict.honest_ops,
-        "certified": verdict.certified_ops,
-    }
+    computed = {"status": verdict.status}
+    if verdict.free is not None:
+        # the basis counts dim A_n and dim (A^!)_n: a third route for both
+        computed["free"] = verdict.free
+        computed["dual"] = verdict.dual
+    if "closure" in verdict.routes:
+        computed["closure_size"] = verdict.closure_size
+        computed["eliminations"] = verdict.honest_ops
+        computed["certified"] = verdict.certified_ops
     if verdict.status == "inconclusive":
         computed["limit"] = verdict.note
     report.add(
         f"koszul/distributivity/{algebra.label}",
         computed=computed,
-        ok=verdict.status == "distributive",
+        ok=verdict.status == "distributive"
+        and verdict.free == series.dims[degree]
+        and verdict.dual == series.dual_dims[degree],
         degree=degree,
         expected="distributive",
-        routes=["direct-rank"],
+        routes=verdict.routes,
         started=started,
     )
 
@@ -517,7 +522,8 @@ def cmd_report(op, report, max_degree, cap, budget, time_budget=None):
 # argument plumbing
 
 
-TIME_BUDGET_HELP = "seconds each lattice closure may run before it is inconclusive"
+TIME_BUDGET_HELP = "seconds each distributivity check may run before it is inconclusive"
+CAP_HELP = "also close the lattice, up to this many members, as a second route"
 
 
 def _parser():
@@ -552,7 +558,7 @@ def _parser():
     p = sub.add_parser("koszul", parents=[common], help="series identity and distributivity")
     p.add_argument("-a", "--algebra", default="E", choices=["S", "Lambda", "E"])
     p.add_argument("-n", "--degree", type=int, default=3)
-    p.add_argument("--cap", type=int, default=200, help="closure size bound")
+    p.add_argument("--cap", type=int, default=None, help=CAP_HELP)
     p.add_argument("--time-budget", type=float, default=None, help=TIME_BUDGET_HELP)
 
     p = sub.add_parser("schur", parents=[common], help="multiplicities and centralizers")
@@ -560,7 +566,7 @@ def _parser():
 
     p = sub.add_parser("report", parents=[common], help="everything, one JSON document")
     p.add_argument("-N", "--max-degree", type=int, default=3)
-    p.add_argument("--cap", type=int, default=200)
+    p.add_argument("--cap", type=int, default=None, help=CAP_HELP)
     p.add_argument("--time-budget", type=float, default=None, help=TIME_BUDGET_HELP)
 
     return parser
@@ -571,8 +577,9 @@ def main(argv=None):
     try:
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise CLIError(f"cannot write the report to {args.out}: no such directory")
-        if getattr(args, "cap", 1) < 1:
-            raise CLIError(f"the closure size bound --cap must be at least 1 (got {args.cap})")
+        cap = getattr(args, "cap", None)
+        if cap is not None and cap < 1:
+            raise CLIError(f"the closure size bound --cap must be at least 1 (got {cap})")
         time_budget = getattr(args, "time_budget", None)
         if time_budget is not None and not time_budget > 0:
             raise CLIError(f"the time budget must be a positive number of seconds (got {time_budget})")
@@ -593,21 +600,21 @@ def main(argv=None):
             report = VerificationReport("poincare", op.name, params)
             cmd_poincare(op, report, args.max_degree, budget)
         elif args.command == "koszul":
-            params = {"algebra": args.algebra, "degree": args.degree, "cap": args.cap}
+            params = {"algebra": args.algebra, "degree": args.degree, "cap": cap}
             if time_budget is not None:
                 params["time_budget"] = time_budget
             report = VerificationReport("koszul", op.name, params)
-            cmd_koszul(op, report, args.algebra.lower(), args.degree, args.cap, budget, time_budget)
+            cmd_koszul(op, report, args.algebra.lower(), args.degree, cap, budget, time_budget)
         elif args.command == "schur":
             params = {"degree": args.degree}
             report = VerificationReport("schur", op.name, params)
             cmd_schur(op, report, args.degree, budget)
         elif args.command == "report":
-            params = {"max_degree": args.max_degree, "cap": args.cap}
+            params = {"max_degree": args.max_degree, "cap": cap}
             if time_budget is not None:
                 params["time_budget"] = time_budget
             report = VerificationReport("report", op.name, params)
-            cmd_report(op, report, args.max_degree, args.cap, budget, time_budget)
+            cmd_report(op, report, args.max_degree, cap, budget, time_budget)
         if not report.checks:
             raise CLIError("these parameters give no checks to run")
     except CLIError as exc:

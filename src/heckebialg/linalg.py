@@ -49,7 +49,11 @@ stored rows whose pivots it holds, in insertion order, through a heap of
 insertion indices.  In dense rational-function rows most of the cost of
 ``echelonize`` is back-elimination, which is why the dimension-only routes
 (``graded_dimension``, ``centralizer_dimension``, the last intersection of
-``dual_graded_dimension``) take a rank.
+``dual_graded_dimension``) take a rank.  The same elimination gives
+``pivot_columns``, the columns at which vectors of the span start, which
+are the pivots of the reduced echelon form too; the unit vectors off them
+complete a span to the whole space, so the distributing basis takes its
+complements from them without an echelon form.
 
 ``rank`` is also fraction-free, in the style of Bareiss (1968).  A row
 scaled by a nonzero element of Q(p) spans the same line, so rows are
@@ -71,6 +75,7 @@ __all__ = [
     "Subspace",
     "echelonize",
     "rank",
+    "pivot_columns",
     "subspace_sum",
     "subspace_intersect",
     "sum_and_intersection",
@@ -357,8 +362,16 @@ def echelonize(rows, ambient):
 
 
 def rank(rows):
-    """Dimension of the span of the given sparse rows.
+    """Dimension of the span of the given sparse rows: the number of its
+    ``pivot_columns``."""
+    return len(pivot_columns(rows))
 
+
+def pivot_columns(rows):
+    """Pivot columns of the span of the given sparse rows, increasing.
+
+    A column is a pivot when some vector of the span starts there, so the
+    set is that of any echelon form of the span, the reduced one included.
     Forward elimination over Z[p], fraction-free.  Scaling a row by a
     nonzero element of Q(p) leaves the dimension alone, so an incoming row
     is taken into Z[p] by the lcm of its denominators (``zp_row``) and no
@@ -404,7 +417,7 @@ def rank(rows):
         leads.append(vec.pop(col))
         pivots.append(col)
         stored.append(vec)
-    return len(stored)
+    return tuple(sorted(pivots))
 
 
 def subspace_sum(u, w):

@@ -23,24 +23,49 @@ computed once per run and lives as long as the run; each function keeps
 its own entries, so routes stay independent.
 
 ``distributivity_check`` decides the lattice criterion for Koszulness: the
-subspace lattice generated by the shifted relation spaces must be
-distributive.  The closure is computed symbolically throughout.  Each pair
-of members is settled from one reduction of the smaller member's basis
-modulo the larger: all remainders zero means the pair is comparable, and
-otherwise one elimination of the tagged remainders gives both the exact
-meet and the rows that complete the larger member to the sum.  Once the
-lattice is closed, the distributive law is checked on lists of sum and
-meet indices.
+subspace lattice generated by the shifted relation spaces X_1..X_k of
+degree n (k = n - 1) must be distributive.  It decides it with a
+distributing basis (Backelin 1982; Polishchuk and Positselski, *Quadratic
+Algebras*, Ch. 1 sections 6-7): a basis B of the whole space and, for each
+b, a set I(b) of generators, such that every X_i is spanned by the b with
+i in I(b).  The certificate is checked exactly, whatever built B:
+
+* |B| equals the ambient dimension and so does rank(B);
+* every b reduces to zero modulo each X_i with i in I(b);
+* #{b : i in I(b)} = dim X_i for every i.
+
+The second and third conditions make the b with i in I(b) dim X_i
+independent vectors of X_i, hence a basis of it.  So X_i = span B_i for
+subsets B_i of the basis B, and since B is independent, span P + span Q =
+span (P | Q) and span P & span Q = span (P & Q) for any subsets P, Q of
+B.  The lattice is then the image of the lattice of subsets generated by
+the B_i under an injective map that preserves sum and meet; a lattice of
+sets is distributive, so the lattice is too.  B is built from the meets
+X_I of the generators (``distributing_basis``); its cost grows with the
+2^k subsets, not with the lattice.  The vectors in no generator number
+dim A_n and those in all of them dim (A^!)_n, which the report compares
+with the ranks.
+
+The closure (``subspace_lattice_distributivity``) runs only to find a
+witness when the basis fails, or as a second route when a cap is given.
+It is computed symbolically throughout.  Each pair of members is settled
+from one reduction of the smaller member's basis modulo the larger: all
+remainders zero means the pair is comparable, and otherwise one
+elimination of the tagged remainders gives both the exact meet and the
+rows that complete the larger member to the sum.  Once the lattice is
+closed, the distributive law is checked on lists of sum and meet indices.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from .exactnum import ONE
 from .linalg import (
     Matrix,
     Subspace,
     echelonize,
     lift_rows,
+    pivot_columns,
     rank,
     subspace_intersect,
     sum_and_intersection,
@@ -60,6 +85,9 @@ __all__ = [
     "koszul_series_check",
     "DistributivityReport",
     "distributivity_check",
+    "lattice_distributivity",
+    "DistributingBasis",
+    "distributing_basis",
     "subspace_lattice_distributivity",
 ]
 
@@ -228,19 +256,179 @@ class DistributivityReport:
     certified_ops: int = 0
     witness: tuple = None  # (u, v, w, lhs, rhs) as Subspaces
     note: str = ""  # for an inconclusive run, the limit that stopped it
+    routes: list = field(default_factory=lambda: ["closure"])
+    free: int = None  # vectors of the distributing basis in no generator
+    dual: int = None  # vectors of the distributing basis in every generator
 
     def __bool__(self):
         return self.status == "distributive"
 
     def __str__(self):
-        extra = f" witness dims {tuple(s.dim for s in self.witness[:3])}" if self.witness else ""
+        extra = ""
+        if self.free is not None:
+            extra += f" (basis: {self.free} free, {self.dual} dual)"
+        if "closure" in self.routes:
+            extra += (
+                f" (closure {self.closure_size}, {self.honest_ops} eliminations,"
+                f" {self.certified_ops} certified)"
+            )
+        if self.witness:
+            extra += f" witness dims {tuple(s.dim for s in self.witness[:3])}"
         if self.note:
             extra += f" {self.note}"
-        return (
-            f"distributivity {self.label} n={self.degree}: {self.status}"
-            f" (closure {self.closure_size}, {self.honest_ops} eliminations,"
-            f" {self.certified_ops} certified){extra}"
+        return f"distributivity {self.label} n={self.degree}: {self.status}{extra}"
+
+
+def distributivity_check(algebra, n, cap=None, time_budget=None):
+    """Decide distributivity of the lattice generated by the shifted
+    relation spaces in degree n: ``lattice_distributivity`` of the
+    ``relation_lifts``."""
+    return lattice_distributivity(
+        relation_lifts(algebra, n),
+        cap=cap,
+        time_budget=time_budget,
+        label=algebra.label,
+        degree=n,
+    )
+
+
+def lattice_distributivity(gens, cap=None, time_budget=None, label="lattice", degree=0):
+    """Decide distributivity of the lattice generated by ``gens``.
+
+    The distributing basis decides it.  The closure runs only when the
+    basis fails, to find a witness (up to ``cap`` members, 200 when no cap
+    is given), or as a second route when a ``cap`` is given; the status is
+    ``distributive`` only if every route that ran says so, and
+    ``non_distributive`` only with the closure's witness.  ``time_budget``
+    bounds both routes together; a route that does not finish makes the
+    status ``inconclusive`` and ``note`` names its limit.
+    """
+    started = time.monotonic()
+    basis = distributing_basis(gens, time_budget, started)
+    if basis is None or _expired(time_budget, started):
+        return DistributivityReport(
+            label, degree, "inconclusive", note=_budget_note(time_budget), routes=["distributing-basis"]
         )
+    holds = basis.certify()
+    counts = {"free": basis.free, "dual": basis.dual}
+    if holds and cap is None:
+        return DistributivityReport(label, degree, "distributive", routes=["distributing-basis"], **counts)
+    closure = subspace_lattice_distributivity(
+        gens,
+        cap=200 if cap is None else cap,
+        time_budget=time_budget,
+        label=label,
+        degree=degree,
+        started=started,
+    )
+    report = replace(closure, routes=["distributing-basis", "closure"], **counts)
+    if closure.status == "distributive" and not holds:
+        report.status = "inconclusive"
+        report.note = "the closure is distributive but the distributing basis fails"
+    return report
+
+
+def _expired(time_budget, started):
+    return time_budget is not None and time.monotonic() - started > time_budget
+
+
+def _budget_note(time_budget):
+    return f"time budget of {time_budget} s exhausted"
+
+
+# ---------------------------------------------------------------------------
+# the distributing basis
+
+
+@dataclass
+class DistributingBasis:
+    """A candidate distributing basis of the lattice generated by ``gens``.
+
+    ``blocks`` maps each subset I of the generators, a bitmask, to the
+    vectors B_I whose index set I(b) is I: the generators meant to hold b.
+    """
+
+    gens: list
+    blocks: dict
+
+    @property
+    def free(self):
+        """|B_empty|: the vectors in no generator, dim A_n for relation lifts."""
+        return len(self.blocks[0])
+
+    @property
+    def dual(self):
+        """|B_all|: the vectors in every generator, dim (A^!)_n for relation lifts."""
+        return len(self.blocks[(1 << len(self.gens)) - 1])
+
+    def certify(self):
+        """True when the vectors are a basis and each generator is spanned
+        by the vectors whose index set holds it.
+
+        Checked exactly, whatever built the blocks: as many vectors as the
+        ambient dimension and of full rank; every b in B_I reduces to zero
+        modulo each X_i, i in I; and #{b : i in I(b)} = dim X_i.
+        """
+        ambient = self.gens[0].ambient
+        vectors = [b for block in self.blocks.values() for b in block]
+        if len(vectors) != ambient:
+            return False
+        for i, x in enumerate(self.gens):
+            held = [b for mask, block in self.blocks.items() if mask >> i & 1 for b in block]
+            if len(held) != x.dim or not all(x.contains_vector(b) for b in held):
+                return False
+        return rank(vectors) == ambient
+
+
+def distributing_basis(gens, time_budget=None, started=None):
+    """Blocks B_I built from the meets X_I of the generators X_i.
+
+    X_I is the intersection of the X_i, i in I, each one
+    ``subspace_intersect`` from X_(I minus max I); for the empty I it is
+    the whole space with the unit basis.  The subsets are visited from the
+    largest down, and B_I is a complement in X_I of S_I, the sum of the
+    X_J just above I.  By induction X_J is spanned by the B_K with K
+    containing J, so S_I is spanned by the B_J with J strictly containing
+    I.  A vector v of X_I is the sum of v[p] x_p over the basis rows x_p
+    of X_I and their pivots p, so its entries at those pivots are its
+    coordinates; B_I is the rows x_p off the ``pivot_columns`` of S_I's
+    spanning rows in those coordinates, with no echelon form built.  For
+    the empty I these are the unit vectors off the pivots of the sum of
+    the generators.  Returns None once ``time_budget`` seconds have passed
+    since ``started``.
+    """
+    if started is None:
+        started = time.monotonic()
+    ambient = gens[0].ambient
+    full = (1 << len(gens)) - 1
+    meets = {1 << i: x for i, x in enumerate(gens)}
+    for mask in range(3, full + 1):
+        if mask not in meets:
+            top = 1 << (mask.bit_length() - 1)
+            meets[mask] = subspace_intersect(meets[mask ^ top], meets[top])
+            if _expired(time_budget, started):
+                return None
+    one = next((v for x in gens for row in x.basis for v in row.values()), ONE) ** 0
+    meets[0] = Subspace(ambient, tuple({j: one} for j in range(ambient)), tuple(range(ambient)))
+    blocks = {}
+    for mask in range(full, -1, -1):  # every superset of mask comes first
+        if _expired(time_budget, started):
+            return None
+        meet = meets[mask]
+        index = {p: k for k, p in enumerate(meet.pivots)}
+        coords = [
+            {index[p]: v for p, v in b.items() if p in index}
+            for sup, block in blocks.items()
+            if sup & mask == mask
+            for b in block
+        ]
+        taken = set(pivot_columns(coords))
+        blocks[mask] = tuple(x for k, x in enumerate(meet.basis) if k not in taken)
+    return DistributingBasis(gens, blocks)
+
+
+# ---------------------------------------------------------------------------
+# the lattice closure
 
 
 class _Lattice:
@@ -298,33 +486,24 @@ class _Lattice:
         return table[(i, j) if i <= j else (j, i)]
 
 
-def distributivity_check(algebra, n, cap=200, time_budget=None):
-    """Decide distributivity of the lattice generated by the shifted
-    relation spaces in degree n.
-
-    Returns a DistributivityReport whose status is ``distributive``,
-    ``non_distributive`` (with a witness triple and both sides), or
-    ``inconclusive`` when the closure exceeds ``cap`` subspaces or the
-    optional time budget runs out.  A closure round that does not close the
-    lattice adds a member, so the cap also bounds the number of rounds.
-    """
-    return subspace_lattice_distributivity(
-        relation_lifts(algebra, n),
-        cap=cap,
-        time_budget=time_budget,
-        label=algebra.label,
-        degree=n,
-    )
-
-
 def subspace_lattice_distributivity(
     gens,
     cap=200,
     time_budget=None,
     label="lattice",
     degree=0,
+    started=None,
 ):
-    started = time.monotonic()
+    """Decide distributivity by closing the lattice under sum and meet.
+
+    The status is ``distributive``, ``non_distributive`` (with a witness
+    triple and both sides), or ``inconclusive`` when the closure exceeds
+    ``cap`` subspaces or ``time_budget`` seconds pass after ``started``.
+    A closure round that does not close the lattice adds a member, so the
+    cap also bounds the number of rounds.
+    """
+    if started is None:
+        started = time.monotonic()
     lat = _Lattice()
     for g in gens:
         lat.add(g)
@@ -346,8 +525,8 @@ def subspace_lattice_distributivity(
             break
         for i, j in pending:
             lat.resolve_pair(i, j)
-            if time_budget is not None and time.monotonic() - started > time_budget:
-                report.note = f"time budget of {time_budget} s exhausted"
+            if _expired(time_budget, started):
+                report.note = _budget_note(time_budget)
                 report.closure_size = len(lat.members)
                 report.honest_ops = lat.honest_ops
                 report.certified_ops = lat.certified_ops

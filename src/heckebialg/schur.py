@@ -295,8 +295,10 @@ def bicommutant_check(op, n):
 
     The check passes exactly when E_P has full column rank N - |P|, so no
     basis of c2 is built: the rows of E_P come in from c1's basis matrices
-    in doubling batches, and the elimination stops when it reaches full
-    rank or the matrices run out.
+    in batches, and the elimination stops when it reaches full rank or the
+    matrices run out.  A batch holds as many matrices as the rank still
+    missing needs at the rank the last batch gained per matrix, and at most
+    twice the last batch, so few rows are built past full rank.
     """
     size = op.d**n
     gens = [op.lifted(i, n) for i in range(1, n)]
@@ -315,9 +317,10 @@ def bicommutant_check(op, n):
             for eq in commutant_equations(mats, size)
         ]
         # the reduced rows clear nothing on arrival; echelonize stops at full rank
+        before = len(reduced)
         reduced = list(echelonize(reduced + rows, free).basis)
         start += batch
-        batch *= 2
+        batch = _next_batch(batch, len(reduced) - before, free - len(reduced))
     bicommutant = span.dim + free - len(reduced)
     return BicommutantReport(
         operator=op.name,
@@ -327,6 +330,14 @@ def bicommutant_check(op, n):
         bicommutant=bicommutant,
         ok=bicommutant == span.dim,
     )
+
+
+def _next_batch(batch, gained, missing):
+    """Matrices for the next batch: enough, at the last batch's rank gained
+    per matrix, to supply the ``missing`` rank, and at most twice as many."""
+    if gained == 0:
+        return 2 * batch
+    return max(1, min(2 * batch, -(-missing * batch // gained)))
 
 
 # ---------------------------------------------------------------------------

@@ -318,17 +318,34 @@ def test_inconclusive_record_names_its_limit(tmp_path):
     out = str(tmp_path / "r.json")
     assert run(["koszul", "--builtin", "dj:2", "-a", "E", "-n", "4", "--cap", "5", "-o", out]) == 1
     dist = [c for c in read_report(out)["checks"] if "distributivity" in c["name"]][0]
+    # the basis holds, and --cap runs the closure as a second route that stops at the cap
     assert dist["computed"] == {
         "status": "inconclusive",
+        "free": 35,
+        "dual": 1,
         "closure_size": 9,
         "eliminations": 6,
         "certified": 0,
         "limit": "closure exceeded cap 5",
     }
-    # a settled verdict carries no limit, so its record keeps its old keys
-    assert run(["koszul", "--builtin", "dj:2", "-a", "S", "-n", "3", "-o", out]) == 0
+    assert dist["routes"] == ["distributing-basis", "closure"]
+    # a settled verdict carries no limit
+    assert run(["koszul", "--builtin", "dj:2", "-a", "S", "-n", "3", "--cap", "200", "-o", out]) == 0
     dist = [c for c in read_report(out)["checks"] if "distributivity" in c["name"]][0]
-    assert set(dist["computed"]) == {"status", "closure_size", "eliminations", "certified"}
+    assert set(dist["computed"]) == {"status", "free", "dual", "closure_size", "eliminations", "certified"}
+
+
+def test_plain_koszul_runs_no_closure(tmp_path):
+    out = str(tmp_path / "r.json")
+    assert run(["koszul", "--builtin", "dj:2", "-a", "E", "-n", "4", "-o", out]) == 0
+    doc = read_report(out)
+    series = [c for c in doc["checks"] if c["name"].startswith("koszul/series/")][0]
+    dist = [c for c in doc["checks"] if c["name"].startswith("koszul/distributivity/")][0]
+    assert dist["routes"] == ["distributing-basis"]
+    assert dist["computed"] == {"status": "distributive", "free": 35, "dual": 1}
+    # the basis's counts are a third route for dim A_n and dim (A^!)_n
+    assert (35, 1) == (series["computed"]["dims"][4], series["computed"]["dual_dims"][4])
+    assert dist["ok"] and doc["parameters"]["cap"] is None
 
 
 @pytest.mark.parametrize(
@@ -532,7 +549,8 @@ def test_report_computes_each_dimension_once(monkeypatch, capsys):
     # the dims, poincare, koszul and schur checks ask 35 times for dim A_n,
     # 20 times for dim (A^!)_n and 5 times for a centralizer; each distinct
     # value with n >= 2 (n >= 3 for the dual) takes one rank: 7 + 3 in qalg
-    # and 3 in schur
+    # and 3 in schur.  Each of the three distributing bases takes one more,
+    # its full-rank test: 13 in qalg
     calls = {"qalg": 0, "schur": 0}
     for module in calls:
 
@@ -542,7 +560,7 @@ def test_report_computes_each_dimension_once(monkeypatch, capsys):
 
         monkeypatch.setattr(f"heckebialg.{module}.rank", counted)
     assert run(["report", "--builtin", "dj:2", "-N", "3"]) == 0
-    assert calls == {"qalg": 10, "schur": 3}
+    assert calls == {"qalg": 13, "schur": 3}
 
 
 def test_report_deterministic(tmp_path):

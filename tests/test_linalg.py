@@ -20,6 +20,7 @@ from heckebialg.linalg import (
     kernel,
     lift_rows,
     lift_to_position,
+    pivot_columns,
     rank,
     specialize_matrix,
     specialize_rows,
@@ -341,6 +342,14 @@ def row_lists(draw, symbolic=None):
 def test_rank_matches_echelonize(case):
     rows, ambient = case
     assert rank(rows) == echelonize(rows, ambient).dim
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_lists())
+def test_pivot_columns_match_echelonize(case):
+    # the pivots of the forward elimination are those of the reduced echelon form
+    rows, ambient = case
+    assert pivot_columns(rows) == echelonize(rows, ambient).pivots
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,20 +2,24 @@
 
 import pytest
 from fractions import Fraction
+from hypothesis import example, given, settings, strategies as st
 
 from heckebialg.exactnum import ONE, ZERO
 from heckebialg.linalg import Matrix, echelonize, subspace_sum
 from heckebialg.qalg import (
+    DistributingBasis,
     QuadraticAlgebra,
     _Lattice,
     algebra_by_key,
     build_e,
     build_lambda,
     build_s,
+    distributing_basis,
     distributivity_check,
     dual_graded_dimension,
     graded_dimension,
     koszul_series_check,
+    lattice_distributivity,
     relation_lifts,
     subspace_lattice_distributivity,
 )
@@ -281,20 +285,22 @@ def test_lattice_tables_match_direct_sum_and_intersection(build, n):
     ids=["E-dj2-n4", "E-superflip11-n4", "Lambda-dj2-n5", "S-dj3-n4", "S-dj2-n4"],
 )
 def test_lattice_counters_are_pinned(make, build, n, counters):
-    # the verdict alone would not show a closure that does more or less work
-    rep = distributivity_check(build(make()), n)
+    # the verdict alone would not show a closure that does more or less work;
+    # a cap runs the closure as a second route
+    rep = distributivity_check(build(make()), n, cap=200)
     assert rep.status == "distributive"
+    assert rep.routes == ["distributing-basis", "closure"]
     assert (rep.closure_size, rep.honest_ops, rep.certified_ops) == counters
 
 
 def test_e_dj2_distributive_n3():
-    rep = distributivity_check(build_e(dj_r_matrix(2)), 3)
+    rep = distributivity_check(build_e(dj_r_matrix(2)), 3, cap=200)
     assert rep.status == "distributive"
     assert rep.certified_ops > 0
 
 
 def test_e_dj2_distributive_n4():
-    rep = distributivity_check(build_e(dj_r_matrix(2)), 4)
+    rep = distributivity_check(build_e(dj_r_matrix(2)), 4, cap=200)
     assert rep.status == "distributive"
     assert rep.closure_size == 18
 
@@ -302,3 +308,109 @@ def test_e_dj2_distributive_n4():
 def test_report_str_mentions_status():
     rep = distributivity_check(build_s(dj_r_matrix(2)), 3)
     assert "distributive" in str(rep)
+
+
+# ---------------------------------------------------------------------------
+# the distributing basis
+
+
+@pytest.mark.parametrize(
+    "spec, build, n, free, dual",
+    [
+        ("dj:2", build_e, 4, 35, 1),
+        ("dj:2", build_e, 5, 56, 0),
+        ("superflip:1|1", build_e, 4, 16, 16),
+        ("dj:2", build_lambda, 5, 0, 6),
+        ("dj:3", build_s, 4, 15, 0),
+        ("dj:2", build_s, 6, 7, 0),
+    ],
+    ids=["E-dj2-n4", "E-dj2-n5", "E-superflip11-n4", "Lambda-dj2-n5", "S-dj3-n4", "S-dj2-n6"],
+)
+def test_distributing_basis_counts_the_top_dimensions(spec, build, n, free, dual):
+    kind, _, arg = spec.partition(":")
+    op = dj_r_matrix(int(arg)) if kind == "dj" else super_flip(1, 1)
+    algebra = build(op)
+    rep = distributivity_check(algebra, n)
+    assert rep.status == "distributive"
+    assert rep.routes == ["distributing-basis"]
+    assert (rep.closure_size, rep.honest_ops, rep.certified_ops) == (0, 0, 0)
+    assert (rep.free, rep.dual) == (free, dual)
+    assert (free, dual) == (graded_dimension(algebra, n), dual_graded_dimension(algebra, n))
+
+
+def test_three_lines_fail_the_basis_and_get_a_witness():
+    lines = [line(2, {0: ONE}), line(2, {1: ONE}), line(2, {0: ONE, 1: ONE})]
+    assert not distributing_basis(lines).certify()
+    rep = lattice_distributivity(lines, label="M3")
+    assert rep.status == "non_distributive"
+    assert rep.routes == ["distributing-basis", "closure"]
+    wu, wv, ww, lhs, rhs = rep.witness
+    assert lhs != rhs
+
+
+def test_non_koszul_algebra_gets_a_witness():
+    # xy = 0 and yx + y^2 = 0: the degree-4 lattice of its relation lifts
+    # is not distributive, and the failed basis still counts dim A_4, dim A^!_4
+    algebra = QuadraticAlgebra(2, echelonize([{1: ONE}, {2: ONE, 3: ONE}], 4), "toy")
+    rep = distributivity_check(algebra, 4)
+    assert rep.status == "non_distributive" and rep.witness is not None
+    assert rep.routes == ["distributing-basis", "closure"]
+    assert (rep.free, rep.dual) == (graded_dimension(algebra, 4), dual_graded_dimension(algebra, 4)) == (1, 0)
+
+
+def test_certify_needs_full_rank():
+    # two copies of one line: a vector in both and one in neither, as many
+    # vectors as the ambient and each count right, but they are dependent
+    x = line(2, {0: ONE})
+    basis = DistributingBasis([x, x], {0b11: ({0: ONE},), 0b01: (), 0b10: (), 0: ({0: ONE},)})
+    assert not basis.certify()
+    assert distributing_basis([x, x]).certify()
+
+
+def test_certify_needs_membership_and_counts():
+    x, y = line(2, {0: ONE}), line(2, {1: ONE})
+    good = {0b11: (), 0b01: ({0: ONE},), 0b10: ({1: ONE},), 0: ()}
+    assert DistributingBasis([x, y], good).certify()
+    # e0 + e1 tagged as lying in x
+    assert not DistributingBasis([x, y], {**good, 0b01: ({0: ONE, 1: ONE},)}).certify()
+    # too few vectors tagged for y, the missing one left free
+    assert not DistributingBasis([x, y], {**good, 0b10: (), 0: ({1: ONE},)}).certify()
+
+
+def test_time_budget_bounds_the_basis():
+    rep = distributivity_check(build_e(dj_r_matrix(2)), 2, time_budget=1e-9)
+    assert rep.status == "inconclusive" and rep.note == "time budget of 1e-09 s exhausted"
+    assert rep.routes == ["distributing-basis"] and rep.free is None
+
+
+small_entries = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)])
+
+
+@st.composite
+def subspace_families(draw):
+    """2 to 4 subspaces of k^2..k^4 spanned by rows of small Fractions."""
+    ambient = draw(st.integers(2, 4))
+    row = st.lists(small_entries, min_size=ambient, max_size=ambient)
+    family = []
+    for _ in range(draw(st.integers(2, 4))):
+        rows = draw(st.lists(row, min_size=1, max_size=ambient - 1))
+        family.append(echelonize([{j: v for j, v in enumerate(r) if v} for r in rows], ambient))
+    return family
+
+
+def _family(ambient, *spans):
+    return [echelonize([{j: Fraction(v) for j, v in enumerate(r) if v} for r in rows], ambient) for rows in spans]
+
+
+@settings(max_examples=200, deadline=None)
+@given(subspace_families())
+@example(_family(2, [[1, 0]], [[0, 1]], [[1, 1]]))
+@example(_family(3, [[1, 0, 0]], [[0, 1, 0]], [[1, 1, 0]], [[0, 0, 1]]))
+@example(_family(3, [[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1]]))
+@example(_family(4, [[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 0, 1, 0], [0, 0, 0, 1]], [[1, 0, 1, 0], [0, 1, 0, 1]]))
+def test_distributing_basis_agrees_with_the_closure(family):
+    holds = distributing_basis(family).certify()
+    closure = subspace_lattice_distributivity(family, cap=30)
+    assert closure.status != "distributive" or holds
+    if closure.status != "inconclusive":
+        assert holds == (closure.status == "distributive")

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from heckebialg.exactnum import ONE, Q, ZERO, Scalar
-from heckebialg.linalg import Matrix, commutant, echelonize
+from heckebialg.linalg import Matrix, commutant, commutant_equations, echelonize
 from heckebialg.qalg import build_e, graded_dimension
 from heckebialg.rmatrix import HeckeOperator, dj_r_matrix, flip_operator, rho_basis, super_flip
 from heckebialg.schur import (
+    _next_batch,
     _unvec,
     _vec_row,
     bicommutant_check,
@@ -289,6 +290,31 @@ def test_bicommutant_matches_full_commutant_oracle(make, n):
     op = make()
     rep = bicommutant_check(op, n)
     assert (rep.hecke_span, rep.centralizer, rep.bicommutant, rep.ok) == bicommutant_oracle(op, n)
+
+
+def test_bicommutant_batches_follow_the_missing_rank(monkeypatch):
+    # each batch of c1's matrices is sized by the rank E_P still misses, at
+    # most twice the last; the verdict stays the oracle's
+    batches = []
+
+    def counted(mats, size):
+        batches.append(len(mats))
+        return commutant_equations(mats, size)
+
+    monkeypatch.setattr("heckebialg.schur.commutant_equations", counted)
+    op = dj_r_matrix(3)
+    rep = bicommutant_check(op, 3)
+    assert (rep.hecke_span, rep.centralizer, rep.bicommutant, rep.ok) == bicommutant_oracle(op, 3)
+    assert batches == [1, 2, 4, 8, 8, 3, 2, 4, 8, 16, 32]
+    assert all(b <= 2 * a for a, b in zip(batches, batches[1:]))
+
+
+@pytest.mark.parametrize(
+    "batch, gained, missing, expected",
+    [(4, 0, 10, 8), (8, 40, 10, 2), (2, 1, 100, 4), (8, 80, 1, 1), (3, 2, 5, 6)],
+)
+def test_next_batch(batch, gained, missing, expected):
+    assert _next_batch(batch, gained, missing) == expected
 
 
 def test_bicommutant_fails_on_a_diagonal_operator():
