@@ -7,9 +7,22 @@ check passed, and a run that would make no check is refused.  Ambient
 dimensions are guarded by an explicit budget (``--max-dim`` or the
 HBL_MAX_AMBIENT variable, default 4096): oversized requests are refused
 with an error, never silently truncated.
+
+The centralizer routes share no state with the algebra side, so they run
+in one forked worker process (``Worker``) while the main process goes on:
+dim of the degree-n centralizer for ``dims -a E`` and the dims section of
+``report``, and the double-centralizer check for ``schur`` and ``report``.
+The values come back into the operator's memo, so a run still computes
+each once.  A lost worker costs only time: what it did not send is
+computed in the main process, so values, exceptions and exit codes are
+those of the one-process program.  A record's ``elapsed`` is the main
+process's wall time from the start of its check, waiting included;
+``schur/double-centralizer``, computed whole in the worker, carries the
+worker's own seconds.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -243,8 +256,12 @@ class VerificationReport:
     def ok(self):
         return all(c.ok for c in self.checks)
 
-    def add(self, name, computed, ok, degree=None, expected=None, routes=(), started=None):
-        elapsed = 0.0 if started is None else round(time.monotonic() - started, 6)
+    def add(
+        self, name, computed, ok, degree=None, expected=None, routes=(), started=None, elapsed=None
+    ):
+        """Append a record; ``elapsed`` defaults to the seconds since ``started``."""
+        if elapsed is None:
+            elapsed = 0.0 if started is None else round(time.monotonic() - started, 6)
         self.checks.append(
             CheckRecord(name, degree, expected, computed, list(routes), bool(ok), elapsed)
         )
@@ -288,6 +305,105 @@ def _merge_routes(report, name, degree, by_route, started):
 
 
 # ---------------------------------------------------------------------------
+# the centralizer worker
+
+
+class Worker:
+    """Memoised values of one operator computed in a forked child meanwhile.
+
+    ``jobs`` is an ordered list of (key, thunk): each thunk returns a
+    ``rmatrix.memoised`` value of ``op`` and the key is its memo key.  On
+    entry one child is forked; it runs the thunks in order and sends each
+    (key, value, seconds) down a pipe.  ``get(key)`` reads the pipe until
+    that key arrives and stores every value it reads in ``op.memo``, so a
+    later request is a memo hit here too.  If the pipe ends first (the
+    child raised, crashed or was killed) the thunk runs in this process,
+    so values, exceptions and exit codes are the sequential program's.
+    Without ``os.fork``, or when the fork fails, every thunk runs here when
+    its key is asked for.  On exit the child is killed if still running
+    and always reaped.
+    """
+
+    def __init__(self, op, jobs):
+        self.memo = op.memo
+        self.jobs = dict(jobs)
+        self.values = {}  # key -> (value, seconds it took, in whichever process)
+        self._pid = None
+        self._pipe = None
+
+    def __enter__(self):
+        if not self.jobs or not hasattr(os, "fork"):
+            return self
+        import pickle
+
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            return self
+        if pid == 0:
+            try:
+                os.close(read_fd)
+                with os.fdopen(write_fd, "wb") as out:
+                    for key, thunk in self.jobs.items():
+                        started = time.monotonic()
+                        value = thunk()
+                        pickle.dump((key, value, round(time.monotonic() - started, 6)), out)
+                        out.flush()
+            finally:
+                # never return into the parent's code, exit handlers or buffers
+                os._exit(0)
+        os.close(write_fd)
+        self._pid = pid
+        self._pipe = os.fdopen(read_fd, "rb")
+        return self
+
+    def get(self, key):
+        """(value, seconds) for ``key``, from the child or computed here."""
+        while key not in self.values and self._pipe is not None:
+            self._receive()
+        if key not in self.values:
+            started = time.monotonic()
+            value = self.jobs[key]()
+            self.values[key] = (value, round(time.monotonic() - started, 6))
+        return self.values[key]
+
+    def _receive(self):
+        import pickle
+
+        try:
+            key, value, seconds = pickle.load(self._pipe)
+        except (EOFError, pickle.UnpicklingError):
+            # the child is gone: what it did not send is computed here
+            self._pipe.close()
+            self._pipe = None
+            return
+        self.values[key] = (value, seconds)
+        self.memo[key] = value
+
+    def __exit__(self, *exc_info):
+        if self._pid is not None:
+            import signal
+
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        if self._pipe is not None:
+            self._pipe.close()
+            self._pipe = None
+
+
+def _memo_jobs(op, fn, name, degrees):
+    """Worker jobs for the memoised ``fn(op, n)``, whose memo key is (name, n).
+
+    The name is spelled out: ``fn`` may be a wrapper with another name.
+    """
+    return [((name, n), functools.partial(fn, op, n)) for n in degrees]
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 
 
@@ -307,28 +423,30 @@ def cmd_axioms(op, report, max_degree, budget):
         )
 
 
-def _dims_by_route(op, algebra, key, n, budget):
+def _dims_by_route(algebra, key, n, budget):
     """Per-route dimension values in degree n, budget-guarded."""
     m = algebra.generators
     require_budget(m**n, budget, f"degree {n} of {algebra.label}")
-    out = {}
     if key == "edual":
-        out["direct-rank"] = dual_graded_dimension(algebra, n)
-    else:
-        out["direct-rank"] = graded_dimension(algebra, n)
-    if key == "e" and (op.d**n) ** 2 <= budget and n >= 1:
-        out["centralizer"] = centralizer_dimension(op, n)
-    return out
+        return {"direct-rank": dual_graded_dimension(algebra, n)}
+    return {"direct-rank": graded_dimension(algebra, n)}
 
 
 def cmd_dims(op, report, key, max_degree, budget):
     key = key.lower()
     algebra = algebra_by_key(op, "e" if key == "edual" else key)
     label = algebra.label if key != "edual" else f"dual of {algebra.label}"
-    for n in range(max_degree + 1):
-        started = time.monotonic()
-        by_route = _dims_by_route(op, algebra, key, n, budget)
-        _merge_routes(report, f"dims/{label}", n, by_route, started)
+    # E's centralizer route, in every degree within the budget, runs in a
+    # worker while the ranks run here
+    degrees = [n for n in range(1, max_degree + 1) if key == "e" and (op.d**n) ** 2 <= budget]
+    jobs = _memo_jobs(op, centralizer_dimension, "centralizer_dimension", degrees)
+    with Worker(op, jobs) as centralizers:
+        for n in range(max_degree + 1):
+            started = time.monotonic()
+            by_route = _dims_by_route(algebra, key, n, budget)
+            if n in degrees:
+                by_route["centralizer"] = centralizers.get(("centralizer_dimension", n))[0]
+            _merge_routes(report, f"dims/{label}", n, by_route, started)
 
 
 def cmd_poincare(op, report, max_degree, budget):
@@ -441,7 +559,8 @@ def cmd_koszul(op, report, key, degree, cap, budget, time_budget=None):
     )
 
 
-def cmd_schur(op, report, degree, budget):
+def _require_schur(op, degree, budget):
+    """Refuse a degree the Schur checks cannot run in."""
     if degree < 1:
         raise CLIError(f"the Schur checks need degree n >= 1 (got {degree})")
     if op.specialized_at is None and degree > MAX_TABLE_DEGREE:
@@ -453,6 +572,21 @@ def cmd_schur(op, report, degree, budget):
     e_alg = algebra_by_key(op, "e")
     require_budget(e_alg.generators**degree, budget, f"degree {degree} of {e_alg.label}")
 
+
+def cmd_schur(op, report, degree, budget, bicommutants=None):
+    """The Schur checks in one degree.  The double centralizer comes from
+    ``bicommutants``, a Worker, or from a worker of its own."""
+    _require_schur(op, degree, budget)
+    if bicommutants is None:
+        jobs = _memo_jobs(op, bicommutant_check, "bicommutant_check", [degree])
+        with Worker(op, jobs) as bicommutants:
+            _schur_checks(op, report, degree, bicommutants)
+    else:
+        _schur_checks(op, report, degree, bicommutants)
+
+
+def _schur_checks(op, report, degree, bicommutants):
+    e_alg = algebra_by_key(op, "e")
     if op.specialized_at is None:
         started = time.monotonic()
         rep = schur_dimension_check(op, degree, e_algebra=e_alg)
@@ -487,8 +621,8 @@ def cmd_schur(op, report, degree, budget):
         }
         _merge_routes(report, "schur/dimension-two-routes", degree, by_route, started)
 
-    started = time.monotonic()
-    bic = bicommutant_check(op, degree)
+    # computed whole in the worker: the record carries the worker's time
+    bic, seconds = bicommutants.get(("bicommutant_check", degree))
     report.add(
         "schur/double-centralizer",
         computed={
@@ -499,7 +633,7 @@ def cmd_schur(op, report, degree, budget):
         ok=bic.ok,
         degree=degree,
         routes=["centralizer"],
-        started=started,
+        elapsed=seconds,
     )
 
 
@@ -507,15 +641,26 @@ def cmd_report(op, report, max_degree, cap, budget, time_budget=None):
     if max_degree < 1:
         raise CLIError(f"the report needs degree N >= 1 (got {max_degree})")
     cmd_axioms(op, report, max(max_degree, 8), budget)
-    for key in ("s", "lambda", "e", "edual"):
-        cmd_dims(op, report, key, max_degree, budget)
-    cmd_poincare(op, report, max_degree, budget)
-    if max_degree >= 2:
-        for key in ("s", "lambda", "e"):
-            cmd_koszul(op, report, key, max_degree, cap, budget, time_budget)
-    top = min(max_degree, 4)
-    for n in range(2, top + 1):
-        cmd_schur(op, report, n, budget)
+    degrees = range(2, min(max_degree, 4) + 1)
+    # the double centralizers, the last records, run in a worker meanwhile;
+    # it stops before the first degree the Schur checks refuse
+    reachable = []
+    for n in degrees:
+        try:
+            _require_schur(op, n, budget)
+        except CLIError:
+            break
+        reachable.append(n)
+    jobs = _memo_jobs(op, bicommutant_check, "bicommutant_check", reachable)
+    with Worker(op, jobs) as bicommutants:
+        for key in ("s", "lambda", "e", "edual"):
+            cmd_dims(op, report, key, max_degree, budget)
+        cmd_poincare(op, report, max_degree, budget)
+        if max_degree >= 2:
+            for key in ("s", "lambda", "e"):
+                cmd_koszul(op, report, key, max_degree, cap, budget, time_budget)
+        for n in degrees:
+            cmd_schur(op, report, n, budget, bicommutants)
 
 
 # ---------------------------------------------------------------------------

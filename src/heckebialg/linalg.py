@@ -37,8 +37,10 @@ Both visit their rows in ascending pivot order, the order of a full scan,
 so the exact operations performed do not depend on the lookups.
 ``echelonize`` also stops reading rows once it holds as many as the
 ambient dimension: they span the whole space, whose reduced basis is the
-identity, so no later row can change the result.  A full-rank test (the
-bicommutant check's) then costs only the rows it takes to reach full rank.
+identity, so no later row can change the result.  Its loop is the
+``Echelon`` accumulator, which also takes rows batch by batch, so a
+full-rank test (the bicommutant check's) reads each row once and costs
+only the rows it takes to reach full rank.
 
 A dimension needs no basis, and ``rank`` returns only that: it is forward
 elimination, with no back-elimination and no basis built.  Its invariant
@@ -74,6 +76,7 @@ __all__ = [
     "Matrix",
     "Subspace",
     "echelonize",
+    "Echelon",
     "rank",
     "pivot_columns",
     "subspace_sum",
@@ -310,7 +313,15 @@ class Subspace:
 
 
 def echelonize(rows, ambient):
-    """Reduced row echelon Subspace spanned by the given sparse rows.
+    """Reduced row echelon Subspace spanned by the given sparse rows: an
+    ``Echelon`` fed once."""
+    acc = Echelon(ambient)
+    acc.feed(rows)
+    return acc.subspace()
+
+
+class Echelon:
+    """The reduced row echelon form of the rows fed so far, batch by batch.
 
     Two invariants keep the cost with the nonzeros touched:
 
@@ -325,40 +336,57 @@ def echelonize(rows, ambient):
 
     Once the stored rows number ``ambient`` they span k^ambient, every
     later row lies in their span and the basis is the identity already,
-    so the rest of ``rows`` is never read.
+    so no later row is read.
     """
-    row_of = {}  # pivot column -> its row, pivot entry an exact one
-    holders = {}  # non-pivot column -> pivot columns of the rows that may hold it
-    for raw in rows:
-        vec = {j: v for j, v in raw.items() if v}
-        for p in sorted(row_of.keys() & vec.keys()):
-            _row_axpy(vec, -vec.pop(p), row_of[p], skip=p)
-        if not vec:
-            continue
-        col = min(vec)
-        lead = vec.pop(col)
-        one = lead**0
-        if lead != one:
-            inv = one / lead
-            for j in vec:
-                vec[j] = vec[j] * inv
-        for j in vec:
-            holders.setdefault(j, []).append(col)
-        vec[col] = one
-        for p in sorted(holders.pop(col, ())):
-            row = row_of[p]
-            if col not in row:
+
+    __slots__ = ("ambient", "row_of", "holders")
+
+    def __init__(self, ambient):
+        self.ambient = ambient
+        self.row_of = {}  # pivot column -> its row, pivot entry an exact one
+        self.holders = {}  # non-pivot column -> pivot columns of the rows that may hold it
+
+    @property
+    def rank(self):
+        return len(self.row_of)
+
+    def feed(self, rows):
+        """Take the rows in order, stopping once the whole space is spanned."""
+        row_of, holders = self.row_of, self.holders
+        for raw in rows:
+            if len(row_of) == self.ambient:
+                break  # the whole space: every later row lies in it
+            vec = {j: v for j, v in raw.items() if v}
+            for p in sorted(row_of.keys() & vec.keys()):
+                _row_axpy(vec, -vec.pop(p), row_of[p], skip=p)
+            if not vec:
                 continue
-            # the columns the row lacks all fill in (products of nonzeros)
-            fills = vec.keys() - row.keys()
-            _row_axpy(row, -row.pop(col), vec, skip=col)
-            for j in fills:
-                holders[j].append(p)
-        row_of[col] = vec
-        if len(row_of) == ambient:
-            break  # the whole space: every later row lies in it
-    pivots = tuple(sorted(row_of))
-    return Subspace(ambient, tuple(row_of[p] for p in pivots), pivots)
+            col = min(vec)
+            lead = vec.pop(col)
+            one = lead**0
+            if lead != one:
+                inv = one / lead
+                for j in vec:
+                    vec[j] = vec[j] * inv
+            for j in vec:
+                holders.setdefault(j, []).append(col)
+            vec[col] = one
+            for p in sorted(holders.pop(col, ())):
+                row = row_of[p]
+                if col not in row:
+                    continue
+                # the columns the row lacks all fill in (products of nonzeros)
+                fills = vec.keys() - row.keys()
+                _row_axpy(row, -row.pop(col), vec, skip=col)
+                for j in fills:
+                    holders[j].append(p)
+            row_of[col] = vec
+
+    def subspace(self):
+        """The span so far.  It shares the stored rows, which a later batch
+        may change, so take it after the last batch."""
+        pivots = tuple(sorted(self.row_of))
+        return Subspace(self.ambient, tuple(self.row_of[p] for p in pivots), pivots)
 
 
 def rank(rows):

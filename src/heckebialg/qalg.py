@@ -15,12 +15,13 @@ the degree-n component of the quadratic dual is their intersection.  Both
 dimensions need only ranks (``linalg.rank``), not bases.
 
 One run asks for the same value from several checks, so ``algebra_by_key``,
-``graded_dimension`` and ``dual_graded_dimension`` (and
-``schur.centralizer_dimension`` and ``rmatrix.cycle_trace``) are
-``rmatrix.memoised``: each value is kept in the ``memo`` of the operator or
-algebra it is computed from.  A run makes its operator once, so a value is
-computed once per run and lives as long as the run; each function keeps
-its own entries, so routes stay independent.
+``relation_lifts``, ``graded_dimension`` and ``dual_graded_dimension`` (and
+``schur.centralizer_dimension``, ``schur.bicommutant_check`` and
+``rmatrix.cycle_trace``) are ``rmatrix.memoised``: each value is kept in
+the ``memo`` of the operator or algebra it is computed from.  A run makes
+its operator once, so a value is computed once per run and lives as long
+as the run; each function keeps its own entries, so routes stay
+independent.
 
 ``distributivity_check`` decides the lattice criterion for Koszulness: the
 subspace lattice generated by the shifted relation spaces X_1..X_k of
@@ -140,14 +141,23 @@ def algebra_by_key(op, key):
     raise ValueError(f"unknown algebra key {key!r}")
 
 
+@memoised
 def relation_lifts(algebra, n):
-    """R_i^n(A) for i = 1..n-1, as echelonized subspaces of m^n."""
+    """R_i^n(A) for i = 1..n-1, as echelonized subspaces of m^n.
+
+    No elimination is needed: ``lift_rows`` sends the reduced echelon
+    basis of the relations, block by block, to rows with disjoint columns
+    (one block per prefix and suffix index), and within a block its column
+    map is increasing.  So the lifted rows are zero at each other's pivots,
+    the pivot of a lifted row is the image of its pivot, and sorted by
+    pivot they are the reduced echelon basis of the lift.
+    """
     m = algebra.generators
     out = []
     for i in range(1, n):
-        rows = lift_rows(algebra.relations.basis, i, n, m)
-        out.append(echelonize(rows, m**n))
-    return out
+        rows = sorted(lift_rows(algebra.relations.basis, i, n, m), key=min)
+        out.append(Subspace(m**n, tuple(rows), tuple(min(row) for row in rows)))
+    return tuple(out)
 
 
 @memoised

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import rf_eval_at_one
-from .linalg import Matrix, commutant, commutant_equations, echelonize, rank
+from .linalg import Echelon, Matrix, commutant, commutant_equations, echelonize, rank
 from .qalg import build_e, graded_dimension
 from .rmatrix import character, memoised, rho_basis
 
@@ -259,7 +259,7 @@ def _unvec(row, dim):
     return Matrix(dim, dim, data)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BicommutantReport:
     operator: str
     n: int
@@ -276,6 +276,7 @@ class BicommutantReport:
         )
 
 
+@memoised
 def bicommutant_check(op, n):
     """The represented Hecke algebra equals its own bicommutant on V^(x)n.
 
@@ -295,10 +296,11 @@ def bicommutant_check(op, n):
 
     The check passes exactly when E_P has full column rank N - |P|, so no
     basis of c2 is built: the rows of E_P come in from c1's basis matrices
-    in batches, and the elimination stops when it reaches full rank or the
-    matrices run out.  A batch holds as many matrices as the rank still
-    missing needs at the rank the last batch gained per matrix, and at most
-    twice the last batch, so few rows are built past full rank.
+    in batches, each fed once to one ``Echelon``, and the elimination stops
+    when it reaches full rank or the matrices run out.  A batch holds as
+    many matrices as the rank still missing needs at the rank the last
+    batch gained per matrix, and at most twice the last batch, so few rows
+    are built past full rank.
     """
     size = op.d**n
     gens = [op.lifted(i, n) for i in range(1, n)]
@@ -309,19 +311,17 @@ def bicommutant_check(op, n):
     off_pivots = sorted(set(range(size * size)) - set(span.pivots))
     keep = {k: i for i, k in enumerate(off_pivots)}
     free = len(keep)
-    reduced, start, batch = [], 0, 1
-    while len(reduced) < free and start < c1.dim:
+    reduced, start, batch = Echelon(free), 0, 1
+    while reduced.rank < free and start < c1.dim:
         mats = [_unvec(row, size) for row in c1.basis[start : start + batch]]
-        rows = [
+        before = reduced.rank
+        reduced.feed(
             {keep[k]: v for k, v in eq.items() if k in keep}
             for eq in commutant_equations(mats, size)
-        ]
-        # the reduced rows clear nothing on arrival; echelonize stops at full rank
-        before = len(reduced)
-        reduced = list(echelonize(reduced + rows, free).basis)
+        )
         start += batch
-        batch = _next_batch(batch, len(reduced) - before, free - len(reduced))
-    bicommutant = span.dim + free - len(reduced)
+        batch = _next_batch(batch, reduced.rank - before, free - reduced.rank)
+    bicommutant = span.dim + free - reduced.rank
     return BicommutantReport(
         operator=op.name,
         n=n,

@@ -1,16 +1,21 @@
 """CLI behavior: sources, budgets, reports, schemas, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from heckebialg import cli
 from heckebialg.cli import (
     CLIError,
+    Worker,
     builtin_operator,
     load_operator,
     main,
@@ -21,6 +26,7 @@ from heckebialg.cli import (
 from heckebialg.exactnum import MAX_POWER_SIZE
 from heckebialg.linalg import rank
 from heckebialg.rmatrix import dj_r_matrix, super_flip
+from test_qalg import dense_dj2
 
 SCHEMA_DIR = __file__.rsplit("/", 2)[0] + "/docs"
 
@@ -545,22 +551,149 @@ def test_report_small(tmp_path):
     assert any(n.startswith("schur/") for n in names)
 
 
-def test_report_computes_each_dimension_once(monkeypatch, capsys):
+def test_report_computes_each_dimension_once(monkeypatch, tmp_path):
     # the dims, poincare, koszul and schur checks ask 35 times for dim A_n,
     # 20 times for dim (A^!)_n and 5 times for a centralizer; each distinct
     # value with n >= 2 (n >= 3 for the dual) takes one rank: 7 + 3 in qalg
     # and 3 in schur.  Each of the three distributing bases takes one more,
-    # its full-rank test: 13 in qalg
-    calls = {"qalg": 0, "schur": 0}
-    for module in calls:
+    # its full-rank test: 13 in qalg.  The centralizers are taken in a
+    # forked worker, so every rank appends a line to a file both processes
+    # share; the schur section reads them from the memo
+    log = tmp_path / "ranks"
+    for module in ("qalg", "schur"):
 
         def counted(rows, module=module):
-            calls[module] += 1
+            with open(log, "a") as fh:
+                fh.write(module + "\n")
             return rank(rows)
 
         monkeypatch.setattr(f"heckebialg.{module}.rank", counted)
     assert run(["report", "--builtin", "dj:2", "-N", "3"]) == 0
-    assert calls == {"qalg": 13, "schur": 3}
+    assert Counter(log.read_text().split()) == {"qalg": 13, "schur": 3}
+
+
+# ---------------------------------------------------------------------------
+# the centralizer worker
+
+
+def dense_dj2_file(tmp_path):
+    path = str(tmp_path / "dense-dj2.json")
+    save_operator(dense_dj2(), path)
+    return path
+
+
+def run_without_elapsed(args, tmp_path, capsys):
+    """(exit code, stdout, report with every elapsed dropped) of one run."""
+    out = str(tmp_path / "worker-report.json")
+    code = run(args + ["-o", out])
+    doc = read_report(out)
+    for check in doc["checks"]:
+        del check["elapsed"]
+    return code, capsys.readouterr().out, doc
+
+
+def no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+WORKER_RUNS = {
+    "report-dj2-N3": (["report", "--builtin", "dj:2", "-N", "3"], 2),
+    "report-dj3-N2": (["report", "--builtin", "dj:3", "-N", "2"], 2),
+    "schur-dj2-n3": (["schur", "--builtin", "dj:2", "-n", "3"], 1),
+    "dims-dense-E-N3": (["dims", "--file", "{dense}", "-a", "E", "-N", "3"], 1),
+}
+
+
+@pytest.mark.parametrize("name", list(WORKER_RUNS))
+def test_worker_runs_match_the_inline_runs(name, monkeypatch, tmp_path, capsys):
+    # without os.fork every job runs inline; nothing else may differ
+    args, workers = WORKER_RUNS[name]
+    args = [dense_dj2_file(tmp_path) if a == "{dense}" else a for a in args]
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    forked = run_without_elapsed(args, tmp_path, capsys)
+    assert len(forks) == workers
+    monkeypatch.delattr(os, "fork")
+    assert run_without_elapsed(args, tmp_path, capsys) == forked
+    assert forked[0] == 0
+    assert no_children_left()
+
+
+def lost_in_the_worker(fn, how):
+    """``fn`` that raises or exits in any process but this one."""
+    parent = os.getpid()
+
+    def wrapped(*args):
+        if os.getpid() != parent:
+            if how == "raise":
+                raise RuntimeError("lost in the worker")
+            os._exit(1)
+        return fn(*args)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("how", ["raise", "exit"])
+def test_a_lost_worker_costs_only_time(how, monkeypatch, tmp_path, capsys):
+    args = ["report", "--builtin", "dj:2", "-N", "3"]
+    expected = run_without_elapsed(args, tmp_path, capsys)
+    for name in ("centralizer_dimension", "bicommutant_check"):
+        monkeypatch.setattr(f"heckebialg.cli.{name}", lost_in_the_worker(getattr(cli, name), how))
+    assert run_without_elapsed(args, tmp_path, capsys) == expected
+    assert no_children_left()
+
+
+def test_worker_raises_where_the_sequential_run_raises():
+    def boom():
+        raise ValueError("boom")
+
+    owner = SimpleNamespace(memo={})
+    with Worker(owner, [("a", lambda: 1), ("b", boom), ("c", lambda: 3)]) as worker:
+        assert worker.get("a")[0] == 1
+        with pytest.raises(ValueError, match="boom"):
+            worker.get("b")
+        assert worker.get("c")[0] == 3
+    # what the child sent is in the memo; "c" was computed here after the pipe ended
+    assert owner.memo == {"a": 1}
+    assert no_children_left()
+
+
+def test_a_refused_fork_runs_every_job_here(monkeypatch):
+    def refused():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", refused)
+    owner = SimpleNamespace(memo={})
+    with Worker(owner, [("a", lambda: 1), ("b", lambda: 2)]) as worker:
+        assert (worker.get("b")[0], worker.get("a")[0]) == (2, 1)
+    assert no_children_left()
+
+
+def test_refusal_kills_and_reaps_the_worker(monkeypatch, capsys):
+    # E(dj:3) is refused at n = 4, long after the double-centralizer worker
+    # started; here that worker would sleep for a minute
+    parent = os.getpid()
+    check = cli.bicommutant_check
+
+    def slow(op, n):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return check(op, n)
+
+    monkeypatch.setattr("heckebialg.cli.bicommutant_check", slow)
+    started = time.monotonic()
+    assert run(["report", "--builtin", "dj:3", "-N", "5"]) == 2
+    assert time.monotonic() - started < 30
+    assert "over the budget" in capsys.readouterr().err
+    assert no_children_left()
 
 
 def test_report_deterministic(tmp_path):

@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from heckebialg.exactnum import ONE, P, Q, ZERO, Scalar
 from heckebialg.linalg import (
+    Echelon,
     Matrix,
     commutant,
     commutant_equations,
@@ -265,6 +266,26 @@ def test_echelonize_stops_at_full_rank():
     assert ech.pivots == tuple(range(m))
     assert list(ech.basis) == [{j: ONE} for j in range(m)]
     assert ech == echelonize(rows, m)
+
+
+def test_echelon_fed_in_batches_matches_one_pass():
+    # the accumulator carries its reduced rows from batch to batch
+    rng = random.Random(73)
+    for ambient in (64, 160):
+        rows = sparse_rows(rng, 48, ambient)
+        acc = Echelon(ambient)
+        start = 0
+        for size in (1, 2, 5, 11, 29):
+            acc.feed(rows[start : start + size])
+            start += size
+            assert acc.rank == rank(rows[:start])
+        assert acc.subspace() == echelonize(rows, ambient)
+    # full after the first batch: a later batch is never read
+    m = 4
+    acc = Echelon(m)
+    acc.feed([{j: P**j + i for j in range(i, m)} for i in range(m)])
+    acc.feed([Unreadable({0: ONE})])
+    assert acc.rank == m
 
 
 def test_echelonize_symbolic_relations_match_specialized_oracle():

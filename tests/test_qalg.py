@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from heckebialg.exactnum import ONE, ZERO
-from heckebialg.linalg import Matrix, echelonize, subspace_sum
+from heckebialg.linalg import Matrix, echelonize, lift_rows, subspace_sum
 from heckebialg.qalg import (
     DistributingBasis,
     QuadraticAlgebra,
@@ -69,6 +69,40 @@ def test_complementary_operator_swaps_s_and_lambda(d):
     other = HeckeOperator(d, shifted, op.q, f"{op.name}'")
     assert build_s(other).relations == build_lambda(op).relations
     assert build_lambda(other).relations == build_s(op).relations
+
+
+def dense_dj2():
+    # dj:2 conjugated by g (x) g, g = [[1, -1], [0, 1]]: every entry is dense
+    base = dj_r_matrix(2)
+    g = Matrix.from_rows([[ONE, -ONE], [ZERO, ONE]])
+    gg = g.kron(g)
+    return HeckeOperator(2, gg * base.R * gg.inverse(), base.q, "dense-dj2")
+
+
+LIFT_OPERATORS = {
+    "dj:2": lambda: dj_r_matrix(2),
+    "dj:3": lambda: dj_r_matrix(3),
+    "superflip:1|1": lambda: super_flip(1, 1),
+    "superflip:2|1": lambda: super_flip(2, 1),
+    "dense-dj2": dense_dj2,
+    "dense-dj2@p=3/2": lambda: dense_dj2().specialize(Fraction(3, 2)),
+}
+
+
+@pytest.mark.parametrize("build", [build_s, build_lambda, build_e], ids=["S", "Lambda", "E"])
+@pytest.mark.parametrize("name", list(LIFT_OPERATORS))
+def test_relation_lifts_are_the_echelon_form_of_the_lifted_rows(name, build):
+    # lifting a reduced echelon basis needs no elimination
+    algebra = build(LIFT_OPERATORS[name]())
+    m = algebra.generators
+    for n in range(2, 6):
+        if m**n > 4096:
+            break
+        lifts = relation_lifts(algebra, n)
+        assert lifts == tuple(
+            echelonize(lift_rows(algebra.relations.basis, i, n, m), m**n) for i in range(1, n)
+        )
+        assert relation_lifts(algebra, n) is lifts
 
 
 def test_algebra_by_key():
