@@ -63,8 +63,17 @@ taken into Z[p] and combined by polynomial multipliers only; the count is
 exact without a single reduced fraction, which spares the gcd that every
 Scalar sum and product pays.  The multipliers are gcd cofactors and each
 stored row is made primitive, which holds the entries small.
-``echelonize`` and everything built on it stay in reduced Scalars: their
-bases must be canonical.
+
+``row_space`` builds a canonical basis the same way: the forward
+elimination of ``rank``, one back-substitution over Z[p], and one division
+per entry at the end.  The reduced echelon form is unique and Scalars are
+canonical, so it returns exactly what ``echelonize`` does.  It serves the
+one-shot images of operator matrices, the relation spaces of S, Lambda
+and E, whose dense rows make the Scalar back-elimination cost a gcd per
+operation.  ``Echelon`` (so ``echelonize``, ``kernel``, the intersections
+and ``Matrix.inverse``) stays in reduced Scalars: it is fed many small,
+sparse systems, where a fraction-free accumulator measured slower (on 2
+cores the lattice closure of S(dj:2) at n = 6 took 19.7 s against 12.4 s).
 """
 
 import heapq
@@ -79,6 +88,7 @@ __all__ = [
     "Echelon",
     "rank",
     "pivot_columns",
+    "row_space",
     "subspace_sum",
     "subspace_intersect",
     "sum_and_intersection",
@@ -392,7 +402,7 @@ class Echelon:
 def rank(rows):
     """Dimension of the span of the given sparse rows: the number of its
     ``pivot_columns``."""
-    return len(pivot_columns(rows))
+    return len(_forward(rows)[2])
 
 
 def pivot_columns(rows):
@@ -400,22 +410,30 @@ def pivot_columns(rows):
 
     A column is a pivot when some vector of the span starts there, so the
     set is that of any echelon form of the span, the reduced one included.
-    Forward elimination over Z[p], fraction-free.  Scaling a row by a
-    nonzero element of Q(p) leaves the dimension alone, so an incoming row
-    is taken into Z[p] by the lcm of its denominators (``zp_row``) and no
-    step divides: a row holding f at the pivot of stored row k becomes
-    (lead_k/g) vec - (f/g) row_k, g = gcd(lead_k, f), which clears that
-    pivot and keeps the multipliers as small as they can be
-    (``zp_cofactors``, ``zp_combine``).  A row is made primitive once,
+    """
+    return tuple(sorted(_forward(rows)[2]))
+
+
+def _forward(rows):
+    """Forward elimination over Z[p], fraction-free: (stored, leads,
+    pivots, index_of), each list indexed by insertion.
+
+    Scaling a row by a nonzero element of Q(p) leaves its span alone, so
+    an incoming row is taken into Z[p] by the lcm of its denominators
+    (``zp_row``) and no step divides: a row holding f at the pivot of
+    stored row k becomes (lead_k/g) vec - (f/g) row_k, g = gcd(lead_k, f),
+    which clears that pivot and keeps the multipliers as small as they can
+    be (``zp_cofactors``, ``zp_combine``).  A row is made primitive once,
     when it is stored (``zp_primitive``), which holds down the growth of
     its entries.
 
     ``stored[k]`` is the k-th independent row without its pivot entry
-    ``leads[k]``; it is zero at the pivots of rows 0..k-1.  The rows an
-    incoming row is reduced by are popped from a heap of insertion
-    indices: a fill-in from row k can only be a pivot of a later row, so
-    each row is met once, in order.  A column that cancels and fills in
-    again is pushed twice; the second pop finds it absent and skips it.
+    ``leads[k]``; it is zero at the pivots of rows 0..k-1, and ``index_of``
+    maps each pivot column to its insertion index.  The rows an incoming
+    row is reduced by are popped from a heap of insertion indices: a
+    fill-in from row k can only be a pivot of a later row, so each row is
+    met once, in order.  A column that cancels and fills in again is
+    pushed twice; the second pop finds it absent and skips it.
     """
     stored = []  # insertion index -> primitive Z[p] row without its pivot entry
     leads = []  # insertion index -> pivot entry of that row
@@ -445,7 +463,41 @@ def pivot_columns(rows):
         leads.append(vec.pop(col))
         pivots.append(col)
         stored.append(vec)
-    return tuple(sorted(pivots))
+    return stored, leads, pivots, index_of
+
+
+def row_space(rows, ambient):
+    """Reduced row echelon Subspace spanned by the given sparse rows, the
+    same as ``echelonize``'s, built fraction-free.
+
+    After the forward elimination of ``_forward``, row k holds only pivots
+    of rows inserted after it.  Back-substitution runs in reverse insertion
+    order, so those rows are fully reduced when row k is reached and
+    clearing them from it brings in no other pivot.  A touched row is made
+    primitive once; then each entry is divided by the row's lead once, so
+    pivot entries are ``ONE`` and every entry is a canonical Scalar.
+    """
+    stored, leads, pivots, index_of = _forward(rows)
+    for k in reversed(range(len(stored))):
+        vec = stored[k]
+        held = vec.keys() & index_of.keys()
+        if not held:
+            continue
+        vec[pivots[k]] = leads[k]
+        for col in held:
+            l = index_of[col]
+            a, b = zp_cofactors(leads[l], vec.pop(col))
+            zp_combine(vec, a, b, stored[l])
+        vec = zp_primitive(vec)
+        leads[k] = vec.pop(pivots[k])
+        stored[k] = vec
+    basis = []
+    for k in sorted(range(len(stored)), key=pivots.__getitem__):
+        lead = leads[k]
+        row = {j: Scalar._reduced(v, lead) for j, v in stored[k].items()}
+        row[pivots[k]] = ONE
+        basis.append(row)
+    return Subspace(ambient, tuple(basis), tuple(sorted(pivots)))
 
 
 def subspace_sum(u, w):

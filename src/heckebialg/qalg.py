@@ -64,10 +64,10 @@ from .exactnum import ONE
 from .linalg import (
     Matrix,
     Subspace,
-    echelonize,
     lift_rows,
     pivot_columns,
     rank,
+    row_space,
     subspace_intersect,
     sum_and_intersection,
 )
@@ -109,14 +109,14 @@ class QuadraticAlgebra:
 def build_lambda(op):
     """The q-exterior algebra: relations Im(R + 1)."""
     m = op.d * op.d
-    rel = echelonize((op.R + Matrix.identity(m)).data, m)
+    rel = row_space((op.R + Matrix.identity(m)).data, m)
     return QuadraticAlgebra(op.d, rel, f"Lambda({op.name})")
 
 
 def build_s(op):
     """The q-symmetric algebra (quantum plane): relations Im(R - q)."""
     m = op.d * op.d
-    rel = echelonize((op.R - Matrix.identity(m).scale(op.q)).data, m)
+    rel = row_space((op.R - Matrix.identity(m).scale(op.q)).data, m)
     return QuadraticAlgebra(op.d, rel, f"S({op.name})")
 
 
@@ -125,7 +125,7 @@ def build_e(op, wop=None):
     if wop is None:
         wop = matrix_space_operator(op)
     m = wop.d * wop.d
-    rel = echelonize((wop.R - Matrix.identity(m)).data, m)
+    rel = row_space((wop.R - Matrix.identity(m)).data, m)
     return QuadraticAlgebra(wop.d, rel, f"E({op.name})")
 
 

@@ -26,9 +26,9 @@ from heckebialg.exactnum import (
     scalar,
 )
 from heckebialg.exactnum import _add_pair, _mul_pair, _pgcd
-from heckebialg.linalg import Matrix
+from heckebialg.linalg import Matrix, echelonize
 from heckebialg.qalg import algebra_by_key, distributivity_check, graded_dimension
-from heckebialg.rmatrix import HeckeOperator, dj_r_matrix
+from heckebialg.rmatrix import HeckeOperator, dj_r_matrix, matrix_space_operator
 
 CACHES = (_pgcd, _mul_pair, _add_pair)
 
@@ -268,9 +268,16 @@ def test_caches_stay_bounded_on_a_dense_elimination():
     gg = g.kron(g)
     base = dj_r_matrix(3)
     dense = HeckeOperator(3, gg * base.R * gg.inverse(), base.q, "dense-dj3")
+    wop = matrix_space_operator(dense)
+    m = wop.d * wop.d
     for cache in CACHES:
         cache.cache_clear()
-    assert graded_dimension(algebra_by_key(dense, "e"), 2) == 45
+    # the relations of E are built fraction-free; the Scalar elimination that
+    # intersections and kernels run is what puts the caches under pressure
+    rel = echelonize((wop.R - Matrix.identity(m)).data, m)
+    algebra = algebra_by_key(dense, "e")
+    assert rel == algebra.relations
+    assert graded_dimension(algebra, 2) == 45
     for cache in CACHES:
         info = cache.cache_info()
         assert info.currsize <= info.maxsize

@@ -23,6 +23,7 @@ from heckebialg.linalg import (
     lift_to_position,
     pivot_columns,
     rank,
+    row_space,
     specialize_matrix,
     specialize_rows,
     subspace_intersect,
@@ -238,6 +239,7 @@ def test_echelonize_matches_dense_oracle():
         assert ech.pivots == pivots
         assert list(ech.basis) == basis
         assert rank(rows) == len(pivots)
+        assert row_space(rows, ambient) == ech
 
 
 def test_echelonize_ignores_row_order_and_scale():
@@ -371,6 +373,51 @@ def test_pivot_columns_match_echelonize(case):
     # the pivots of the forward elimination are those of the reduced echelon form
     rows, ambient = case
     assert pivot_columns(rows) == echelonize(rows, ambient).pivots
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_lists())
+@example(([], 4))
+@example(([{2: Fraction(1, 3)}, {2: Fraction(1, 3)}, {0: Fraction(0)}], 3))
+@example(([{0: P + 1, 1: ONE}, {0: P * P - 1, 1: P - 1}], 2))
+@example(([{0: Scalar(2), 1: P}, {0: 4 * P, 1: 2 * P * P}, {0: Scalar(6), 1: P + 1}], 2))
+@example(([{0: ONE / (P + 1), 1: P / (P * P - 1)}, {0: P - 1, 1: P}, {1: ONE / (P - 1), 2: Q}], 3))
+# a later row whose pivot lies left of an earlier row's: the earlier row
+# holds no pivot of it, so back-substitution clears only pivots to the right
+@example(([{1: P, 2: ONE, 3: P + 1}, {0: ONE, 2: Q}, {2: P - 1, 3: ONE}], 4))
+def test_row_space_matches_echelonize(case):
+    rows, ambient = case
+    ech = echelonize(rows, ambient)
+    span = row_space(rows, ambient)
+    assert span == ech
+    assert span.dim == rank(rows)
+    for p, row in zip(span.pivots, span.basis):
+        assert row[p] is ONE
+        assert all(isinstance(v, Scalar) and v for v in row.values())
+
+
+@settings(max_examples=50, deadline=None)
+@given(row_lists(), st.data())
+def test_row_space_ignores_scale_order_and_combinations(case, data):
+    # the row space, not the rows that span it, fixes the reduced basis
+    rows, ambient = case
+    span = row_space(rows, ambient)
+    scales = field_entries(True).filter(bool)
+    moved = []
+    for r in rows:
+        c = data.draw(scales)
+        moved.append({j: v * c for j, v in r.items()})
+    moved = data.draw(st.permutations(moved))
+    for _ in range(data.draw(st.integers(0, 3))):
+        if not rows:
+            break
+        combo = {}
+        for r in data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+            c = data.draw(scales)
+            for j, v in r.items():
+                combo[j] = combo.get(j, ZERO) + c * v
+        moved.append(combo)
+    assert row_space(moved, ambient) == span
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,11 +1,13 @@
 """Quadratic algebras: graded dimensions, Koszul series, distributivity."""
 
-import pytest
+import random
 from fractions import Fraction
+
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from heckebialg.exactnum import ONE, ZERO
-from heckebialg.linalg import Matrix, echelonize, lift_rows, subspace_sum
+from heckebialg.exactnum import ONE, P, ZERO, Scalar
+from heckebialg.linalg import Matrix, echelonize, lift_rows, rank, row_space, subspace_sum
 from heckebialg.qalg import (
     DistributingBasis,
     QuadraticAlgebra,
@@ -23,7 +25,7 @@ from heckebialg.qalg import (
     relation_lifts,
     subspace_lattice_distributivity,
 )
-from heckebialg.rmatrix import HeckeOperator, dj_r_matrix, flip_operator, super_flip
+from heckebialg.rmatrix import HeckeOperator, dj_r_matrix, flip_operator, matrix_space_operator, super_flip
 from test_linalg import zassenhaus_intersect
 
 
@@ -87,6 +89,82 @@ LIFT_OPERATORS = {
     "dense-dj2": dense_dj2,
     "dense-dj2@p=3/2": lambda: dense_dj2().specialize(Fraction(3, 2)),
 }
+
+
+def unitriangular(d, upper):
+    """The d x d unitriangular matrix with the given entries above the
+    diagonal, row by row."""
+    upper = iter(upper)
+    return Matrix.from_rows(
+        [[ONE if i == j else next(upper) if j > i else ZERO for j in range(d)] for i in range(d)]
+    )
+
+
+def conjugated(op, g):
+    """(g (x) g) R (g (x) g)^-1, a Hecke operator with the same dimensions."""
+    gg = g.kron(g)
+    return HeckeOperator(op.d, gg * op.R * gg.inverse(), op.q, f"{op.name}^g")
+
+
+def seeded_dense(d, seed):
+    """dj:d conjugated by g (x) g, g unitriangular with random signs above
+    the diagonal: every entry is dense."""
+    rng = random.Random(seed)
+    signs = [Scalar(rng.choice((-1, 1))) for _ in range(d * (d - 1) // 2)]
+    return conjugated(dj_r_matrix(d), unitriangular(d, signs))
+
+
+ORACLE_OPERATORS = {
+    "dj:2": lambda: dj_r_matrix(2),
+    "dj:3": lambda: dj_r_matrix(3),
+    "dj:4": lambda: dj_r_matrix(4),
+    "superflip:1|1": lambda: super_flip(1, 1),
+    "superflip:2|1": lambda: super_flip(2, 1),
+    "superflip:1|2": lambda: super_flip(1, 2),
+    **{f"dense-dj2-{seed}": lambda seed=seed: seeded_dense(2, seed) for seed in (1, 2, 3)},
+    **{f"dense-dj3-{seed}": lambda seed=seed: seeded_dense(3, seed) for seed in (1, 2)},
+    **{
+        f"{name}@p={x}": lambda make=make, x=x: make().specialize(x)
+        for name, make in (("dj:2", lambda: dj_r_matrix(2)), ("dense-dj2-1", lambda: seeded_dense(2, 1)))
+        for x in (Fraction(3, 2), Fraction(2), Fraction(-5, 7))
+    },
+}
+
+
+def relation_rows(key, op):
+    """(rows, ambient): the operator image whose row space is the relations."""
+    if key == "E":
+        op = matrix_space_operator(op)
+    m = op.d * op.d
+    shift = {"S": -op.q, "Lambda": ONE, "E": -ONE}[key]
+    return (op.R + Matrix.identity(m).scale(shift)).data, m
+
+
+@pytest.mark.parametrize("key", ["S", "Lambda", "E"])
+@pytest.mark.parametrize("name", list(ORACLE_OPERATORS))
+def test_relations_are_the_echelon_form_of_the_operator_image(name, key):
+    # the fraction-free build and the Scalar elimination give the one reduced basis
+    op = ORACLE_OPERATORS[name]()
+    relations = {"S": build_s, "Lambda": build_lambda, "E": build_e}[key](op).relations
+    rows, m = relation_rows(key, op)
+    assert relations == echelonize(rows, m)
+    assert relations.dim == rank(rows)
+    assert all(isinstance(v, Scalar) for row in relations.basis for v in row.values())
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(2, 3), st.lists(st.sampled_from([-2, -1, 1, 2, "p", "-p"]), min_size=3, max_size=3))
+def test_conjugate_relations_are_the_base_relations_moved_by_g(d, upper):
+    # x -> x (g (x) g) R (g (x) g)^-1 has image Im(R - c) (g (x) g)^-1 for c = q, -1
+    g = unitriangular(d, (P if a == "p" else -P if a == "-p" else Scalar(a) for a in upper))
+    base = dj_r_matrix(d)
+    op = conjugated(base, g)
+    gg_inv = g.kron(g).inverse()
+    m = d * d
+    for build in (build_s, build_lambda):
+        rel = build(base).relations
+        moved = Matrix(rel.dim, m, list(rel.basis)) * gg_inv
+        assert build(op).relations == row_space(moved.data, m) != rel
 
 
 @pytest.mark.parametrize("build", [build_s, build_lambda, build_e], ids=["S", "Lambda", "E"])

@@ -253,8 +253,11 @@ def test_conjugation_leaves_dimensions_unchanged(a):
             assert dual_graded_dimension(alg, n) == dual_graded_dimension(ref, n)
     for n in range(1, 4):
         assert centralizer_dimension(op, n) == centralizer_dimension(base, n)
-    verdict = distributivity_check(algebra_by_key(op, "e"), 3)
-    assert verdict.status == distributivity_check(algebra_by_key(base, "e"), 3).status
+    for n in (3, 4):
+        verdict = distributivity_check(algebra_by_key(op, "e"), n)
+        ref = distributivity_check(algebra_by_key(base, "e"), n)
+        assert verdict.status == ref.status == "distributive"
+        assert (verdict.free, verdict.dual) == (ref.free, ref.dual)
 
 
 # ---------------------------------------------------------------------------
