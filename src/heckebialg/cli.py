@@ -27,7 +27,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from . import __version__
@@ -229,15 +229,10 @@ def require_budget(ambient, budget, what):
 # reports
 
 
-@dataclass
-class CheckRecord:
-    name: str
-    degree: int
-    expected: object
-    computed: object
-    routes: list
-    ok: bool
-    elapsed: float
+class CheckRecord(
+    namedtuple("CheckRecord", "name degree expected computed routes ok elapsed")
+):
+    __slots__ = ()
 
     def line(self):
         state = "PASS" if self.ok else "FAIL"
@@ -245,12 +240,16 @@ class CheckRecord:
         return f"[{state}] {self.name}{deg}: {self.computed}"
 
 
-@dataclass
 class VerificationReport:
-    command: str
-    operator: str
-    parameters: dict
-    checks: list = field(default_factory=list)
+    """The records of one run, in the order its checks ran."""
+
+    __slots__ = ("command", "operator", "parameters", "checks")
+
+    def __init__(self, command, operator, parameters):
+        self.command = command
+        self.operator = operator
+        self.parameters = parameters
+        self.checks = []
 
     @property
     def ok(self):

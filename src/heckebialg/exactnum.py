@@ -70,13 +70,6 @@ def _padd(a, b):
     return _ptrim(out)
 
 
-def _psub(a, b):
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _ptrim(out)
-
-
 def _pneg(a):
     return tuple(-x for x in a)
 

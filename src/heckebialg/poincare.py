@@ -19,7 +19,7 @@ tests fail.  All arithmetic is exact (Fractions, or Scalars when the
 input is symbolic in p).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exactnum import ONE, Scalar, q_int, rf_eval_at_one
@@ -118,15 +118,16 @@ def t_specialize_p_from_operator(op, max_index):
 # the character recursion, verified as an identity of Scalars
 
 
-@dataclass
-class CharacterRecursionReport:
-    operator: str
-    max_degree: int
-    rows: list  # (n, lhs string, rhs string, ok)
-    ok: bool
-    p_zero: str
-    naive_p0_fails: bool
-    note: str = ""
+class CharacterRecursionReport(
+    namedtuple(
+        "CharacterRecursionReport",
+        "operator max_degree rows ok p_zero naive_p0_fails note",
+        defaults=("",),
+    )
+):
+    """``rows`` holds (n, lhs string, rhs string, ok) for n = 1..max_degree."""
+
+    __slots__ = ()
 
     def __str__(self):
         head = (

@@ -10,9 +10,17 @@ built from an operator R on V (x) V:
           the associated matrix bialgebra.
 
 Graded dimensions come from honest subspace arithmetic: the degree-n
-component of A is W^(x)n modulo the sum of shifted relation subspaces, and
-the degree-n component of the quadratic dual is their intersection.  Both
-dimensions need only ranks (``linalg.rank``), not bases.
+component of A is W^(x)n modulo the sum I_n of shifted relation subspaces,
+and the degree-n component of the quadratic dual is their intersection
+D_n.  Each degree is built from the one below (Polishchuk and Positselski,
+*Quadratic Algebras*, Ch. 1): I_n = (I_(n-1) (x) V) + (V^(n-2) (x) R) and
+D_n = (D_(n-1) (x) V) & (V^(n-2) (x) R).  Tensoring with V on the right
+copies a space into m blocks of columns that share none, so it costs no
+elimination: the forward elimination of I_n resumes from m copies of that
+of I_(n-1) (``linalg.copy_state``) and takes in only the last lift, and
+D_n is one intersection of the copies of D_(n-1) with it.  No basis of
+I_n is built, and the top degree of D_n needs only a rank, of the
+remainders of the copies modulo the last lift.
 
 One run asks for the same value from several checks, so ``algebra_by_key``,
 ``relation_lifts``, ``graded_dimension`` and ``dual_graded_dimension`` (and
@@ -58,12 +66,14 @@ closed, the distributive law is checked on lists of sum and meet indices.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 from .exactnum import ONE
 from .linalg import (
     Matrix,
     Subspace,
+    copy_state,
+    forward_eliminate,
     lift_rows,
     pivot_columns,
     rank,
@@ -93,17 +103,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class QuadraticAlgebra:
-    """m generators and a relation subspace inside the m^2-dim square."""
+    """m generators and a relation subspace inside the m^2-dim square.
 
-    generators: int
-    relations: Subspace
-    label: str
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
+    ``memo`` holds the values ``rmatrix.memoised`` functions computed from
+    the algebra.
+    """
 
-    def __post_init__(self):
-        assert self.relations.ambient == self.generators**2
+    __slots__ = ("generators", "relations", "label", "memo")
+
+    def __init__(self, generators, relations, label):
+        assert relations.ambient == generators**2
+        self.generators = generators
+        self.relations = relations
+        self.label = label
+        self.memo = {}
 
 
 def build_lambda(op):
@@ -152,76 +166,100 @@ def relation_lifts(algebra, n):
     the pivot of a lifted row is the image of its pivot, and sorted by
     pivot they are the reduced echelon basis of the lift.
     """
+    if n < 2:
+        return ()
+    return tuple(_lift(algebra, i, n) for i in range(1, n - 1)) + (_last_lift(algebra, n),)
+
+
+@memoised
+def _last_lift(algebra, n):
+    """R_(n-1)^n(A) = V^(n-2) (x) R: the one lift the degree-n relation sum
+    and dual take in beyond the copies of degree n-1."""
+    return _lift(algebra, n - 1, n)
+
+
+def _lift(algebra, i, n):
     m = algebra.generators
-    out = []
-    for i in range(1, n):
-        rows = sorted(lift_rows(algebra.relations.basis, i, n, m), key=min)
-        out.append(Subspace(m**n, tuple(rows), tuple(min(row) for row in rows)))
-    return tuple(out)
+    rows = sorted(lift_rows(algebra.relations.basis, i, n, m), key=min)
+    return Subspace(m**n, tuple(rows), tuple(min(row) for row in rows))
 
 
 @memoised
 def graded_dimension(algebra, n):
-    """dim A_n = m^n - rank of the stacked shifted relation rows.
+    """dim A_n = m^n - rank I_n, I_n the sum of the shifted relations."""
+    m = algebra.generators
+    if n < 2:
+        return m**n
+    return m**n - len(_relation_sum(algebra, n).pivots)
 
-    The rank is taken by forward elimination alone; no basis of the
-    relation sum is built.
+
+@memoised
+def _relation_sum(algebra, n):
+    """The forward elimination of I_n (n >= 2), resumed from I_(n-1).
+
+    I_n = (I_(n-1) (x) V) + (V^(n-2) (x) R): the lifts of degree n at
+    positions 1..n-2 are those of degree n-1 tensored with V on the right,
+    which sends column c to c*m + j for the j-th basis vector of V.  So the
+    state of degree n-1 copied under those m maps (``copy_state``) is a
+    state for them, and only the lift at position n-1 is eliminated.
     """
     m = algebra.generators
-    if n == 0:
-        return 1
-    if n == 1:
-        return m
-    rows = []
-    for i in range(1, n):
-        rows.extend(lift_rows(algebra.relations.basis, i, n, m))
-    return m**n - rank(rows)
+    below = None
+    if n > 2:
+        below = copy_state(_relation_sum(algebra, n - 1), lambda c: c * m, range(m))
+    return forward_eliminate(_last_lift(algebra, n).basis, below)
 
 
 @memoised
 def dual_graded_dimension(algebra, n):
-    """dim (A^!)_n read off A: the intersection of the shifted relations.
+    """dim (A^!)_n read off A: the intersection D_n of the shifted relations.
 
-    All intersections but the last are exact subspaces; the last needs
-    only its dimension, dim(U & W) = dim U + dim W - rank(U + W).
-    ``dual_component`` builds the whole intersection.
+    D_n = U & W for U = D_(n-1) (x) V and W = X_(n-1), the lift at
+    position n-1, and only its dimension is needed.  Let r_i be the
+    remainder of the basis row u_i of U modulo W.  Then sum a_i u_i lies in
+    W exactly when sum a_i r_i does, and as a combination of remainders
+    that is zero, so dim(U & W) = dim U - rank(r_i): a rank of dim U rows,
+    no more than dim W, as D_(n-1) lies in a lift of degree n-1.
+    ``dual_component`` builds D_n itself.
     """
     if n < 2:
         return 1 if n == 0 else algebra.generators
-    *head, last = relation_lifts(algebra, n)
-    if not head:
+    last = _last_lift(algebra, n)
+    if n == 2:
         return last.dim
-    acc = _intersect_all(head)
-    return acc.dim + last.dim - rank(acc.basis + last.basis)
+    head = _tensor_v(dual_component(algebra, n - 1), algebra.generators)
+    return head.dim - rank([last.reduce_vector(row) for row in head.basis])
 
 
+@memoised
 def dual_component(algebra, n):
-    """The subspace whose dimension is dim (A^!)_n, for n >= 2."""
+    """D_n, the subspace whose dimension is dim (A^!)_n, for n >= 2: one
+    intersection with the last lift of the copies of D_(n-1)."""
     assert n >= 2
-    return _intersect_all(relation_lifts(algebra, n))
+    last = _last_lift(algebra, n)
+    if n == 2:
+        return last
+    return subspace_intersect(_tensor_v(dual_component(algebra, n - 1), algebra.generators), last)
 
 
-def _intersect_all(subspaces):
-    acc = subspaces[0]
-    for nxt in subspaces[1:]:
-        if acc.dim == 0:
-            break
-        acc = subspace_intersect(acc, nxt)
-    return acc
+def _tensor_v(sub, m):
+    """sub (x) V.  Its reduced echelon basis is m copies of sub's, the j-th
+    sending column c to c*m + j: the copies share no column, so no copy
+    holds another's pivots, and the rows come out sorted by pivot."""
+    rows = tuple({c * m + j: v for c, v in row.items()} for row in sub.basis for j in range(m))
+    return Subspace(sub.ambient * m, rows, tuple(p * m + j for p in sub.pivots for j in range(m)))
 
 
 # ---------------------------------------------------------------------------
 # numerical Koszul criterion on Hilbert series
 
 
-@dataclass
-class KoszulSeriesReport:
-    label: str
-    max_degree: int
-    dims: list
-    dual_dims: list
-    residuals: list  # coefficient n of P_A(t) * P_dual(-t), n = 1..N
-    ok: bool
+class KoszulSeriesReport(
+    namedtuple("KoszulSeriesReport", "label max_degree dims dual_dims residuals ok")
+):
+    """``residuals[n - 1]`` is the coefficient n of P_A(t) * P_dual(-t), n = 1..N."""
+
+    __slots__ = ()
 
     def __str__(self):
         state = "pass" if self.ok else "FAIL"
@@ -256,19 +294,20 @@ def koszul_series_check(algebra, max_degree):
 # lattice distributivity
 
 
-@dataclass
-class DistributivityReport:
-    label: str
-    degree: int
-    status: str  # "distributive" | "non_distributive" | "inconclusive"
-    closure_size: int = 0
-    honest_ops: int = 0
-    certified_ops: int = 0
-    witness: tuple = None  # (u, v, w, lhs, rhs) as Subspaces
-    note: str = ""  # for an inconclusive run, the limit that stopped it
-    routes: list = field(default_factory=lambda: ["closure"])
-    free: int = None  # vectors of the distributing basis in no generator
-    dual: int = None  # vectors of the distributing basis in every generator
+class DistributivityReport(
+    namedtuple(
+        "DistributivityReport",
+        "label degree status closure_size honest_ops certified_ops witness note routes free dual",
+        defaults=(0, 0, 0, None, "", ("closure",), None, None),
+    )
+):
+    """The verdict on one lattice, ``distributive``, ``non_distributive`` or
+    ``inconclusive``.  ``witness`` is (u, v, w, lhs, rhs) as Subspaces;
+    ``note`` names the limit that stopped an inconclusive run; ``free`` and
+    ``dual`` count the vectors of the distributing basis in no generator
+    and in every generator."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.status == "distributive"
@@ -331,10 +370,11 @@ def lattice_distributivity(gens, cap=None, time_budget=None, label="lattice", de
         degree=degree,
         started=started,
     )
-    report = replace(closure, routes=["distributing-basis", "closure"], **counts)
+    report = closure._replace(routes=["distributing-basis", "closure"], **counts)
     if closure.status == "distributive" and not holds:
-        report.status = "inconclusive"
-        report.note = "the closure is distributive but the distributing basis fails"
+        report = report._replace(
+            status="inconclusive", note="the closure is distributive but the distributing basis fails"
+        )
     return report
 
 
@@ -350,16 +390,14 @@ def _budget_note(time_budget):
 # the distributing basis
 
 
-@dataclass
-class DistributingBasis:
+class DistributingBasis(namedtuple("DistributingBasis", "gens blocks")):
     """A candidate distributing basis of the lattice generated by ``gens``.
 
     ``blocks`` maps each subset I of the generators, a bitmask, to the
     vectors B_I whose index set I(b) is I: the generators meant to hold b.
     """
 
-    gens: list
-    blocks: dict
+    __slots__ = ()
 
     @property
     def free(self):
@@ -518,12 +556,15 @@ def subspace_lattice_distributivity(
     for g in gens:
         lat.add(g)
 
-    report = DistributivityReport(label=label, degree=degree, status="inconclusive")
+    def report(status, note="", witness=None):
+        return DistributivityReport(
+            label, degree, status, len(lat.members), lat.honest_ops, lat.certified_ops, witness, note
+        )
+
     while True:
         size = len(lat.members)
         if size > cap:
-            report.note = f"closure exceeded cap {cap}"
-            break
+            return report("inconclusive", f"closure exceeded cap {cap}")
         pending = [
             (i, j)
             for i in range(size)
@@ -531,22 +572,11 @@ def subspace_lattice_distributivity(
             if (i, j) not in lat.sum_table
         ]
         if not pending:
-            report.status = "closed"
             break
         for i, j in pending:
             lat.resolve_pair(i, j)
             if _expired(time_budget, started):
-                report.note = _budget_note(time_budget)
-                report.closure_size = len(lat.members)
-                report.honest_ops = lat.honest_ops
-                report.certified_ops = lat.certified_ops
-                return report
-
-    report.closure_size = len(lat.members)
-    report.honest_ops = lat.honest_ops
-    report.certified_ops = lat.certified_ops
-    if report.status != "closed":
-        return report
+                return report("inconclusive", _budget_note(time_budget))
 
     # closure complete: distributivity is now pure table lookup
     size = len(lat.members)
@@ -561,14 +591,6 @@ def subspace_lattice_distributivity(
                 lhs = meet_u[join_v[w]]
                 rhs = join_uv[meet_u[w]]
                 if lhs != rhs:
-                    report.status = "non_distributive"
-                    report.witness = (
-                        lat.members[u],
-                        lat.members[v],
-                        lat.members[w],
-                        lat.members[lhs],
-                        lat.members[rhs],
-                    )
-                    return report
-    report.status = "distributive"
-    return report
+                    witness = tuple(lat.members[k] for k in (u, v, w, lhs, rhs))
+                    return report("non_distributive", witness=witness)
+    return report("distributive")

@@ -69,8 +69,10 @@ def memoised(fn):
     The owner is a HeckeOperator or a ``qalg.QuadraticAlgebra``; a run
     makes each once, so a memoised value is computed once per run and
     lives as long as the run.  The entry is keyed by the function's name
-    and arg, so two functions never share an entry.  Only exact, immutable
-    values are memoised.
+    and arg, so two functions never share an entry.  Only exact values are
+    memoised, and none is changed once kept: the elimination states of
+    ``qalg`` and ``schur`` are copied (``linalg.copy_state``) before the
+    next degree resumes from them.
     """
     name = fn.__name__
 

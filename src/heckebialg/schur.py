@@ -15,13 +15,20 @@ do.  No basis of the bicommutant is built.
 """
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import rf_eval_at_one
-from .linalg import Echelon, Matrix, commutant, commutant_equations, echelonize, rank
+from .linalg import (
+    Echelon,
+    Matrix,
+    commutant,
+    commutant_equations,
+    copy_state,
+    echelonize,
+    forward_eliminate,
+)
 from .qalg import build_e, graded_dimension
 from .rmatrix import character, memoised, rho_basis
 
@@ -138,11 +145,11 @@ def hook_length_dimension(lam):
     return math.factorial(n) // prod
 
 
-@dataclass(frozen=True)
-class CharacterTable:
-    n: int
-    parts: tuple  # partitions of n, largest-first order
-    values: dict  # (lam, mu) -> integer character value
+class CharacterTable(namedtuple("CharacterTable", "n parts values")):
+    """``parts`` are the partitions of n, largest first; ``values`` maps
+    (lam, mu) to the integer character value."""
+
+    __slots__ = ()
 
     def chi(self, lam, mu):
         return self.values[(tuple(lam), tuple(mu))]
@@ -166,16 +173,16 @@ def sn_character_table(n):
 # multiplicities at q = 1
 
 
-@dataclass(frozen=True)
-class MultiplicityTable:
-    n: int
-    mult: dict  # partition -> nonnegative integer
-    dims: dict  # partition -> f_lambda
+class MultiplicityTable(namedtuple("MultiplicityTable", "n mult dims")):
+    """``mult`` maps each partition to a nonnegative integer, ``dims`` to f_lambda."""
 
-    def __post_init__(self):
-        assert set(self.mult) == set(self.dims)
-        for lam, m in self.mult.items():
+    __slots__ = ()
+
+    def __new__(cls, n, mult, dims):
+        assert set(mult) == set(dims)
+        for lam, m in mult.items():
             assert m >= 0, f"negative multiplicity at {lam}"
+        return super().__new__(cls, n, mult, dims)
 
     def sum_of_squares(self):
         return sum(m * m for m in self.mult.values())
@@ -234,13 +241,40 @@ def multiplicities(op, n):
 def centralizer_dimension(op, n):
     """dim of the commutant of the represented generators on V^(x)n.
 
-    That is size^2 minus the rank of the equations X G = G X, size = d^n:
-    no kernel basis is built.
+    That is size^2 minus the rank of the equations X T_i = T_i X, i < n,
+    size = d^n (``_commutant_state``): no kernel basis is built.
     """
     assert n >= 1
-    gens = [op.lifted(i, n) for i in range(1, n)]
     size = op.d**n
-    return size * size - rank(commutant_equations(gens, size))
+    if n == 1:
+        return size * size
+    return size * size - len(_commutant_state(op, n).pivots)
+
+
+@memoised
+def _commutant_state(op, n):
+    """The forward elimination of the commutant equations on V^(x)n
+    (n >= 2), resumed from degree n-1.
+
+    T_k = T'_k (x) 1 for k <= n-2, T'_k its degree-(n-1) lift.  So the
+    equation of T_k at the entry (e*d + a, f*d + b) is that of T'_k at
+    (e, f) with each X'[r, c] replaced by X[r*d + a, c*d + b].  Vectorized
+    row-major, the d^2 maps (a, b) are increasing with disjoint images, so
+    the degree-(n-1) state copied under them (``copy_state``) is a state
+    for T_1..T_(n-2), and only the equations of T_(n-1) are eliminated.
+    """
+    d, size = op.d, op.d**n
+    below = None
+    if n > 2:
+        prev = size // d
+
+        def spread(k):
+            r, c = divmod(k, prev)
+            return r * d * size + c * d
+
+        offsets = [a * size + b for a in range(d) for b in range(d)]
+        below = copy_state(_commutant_state(op, n - 1), spread, offsets)
+    return forward_eliminate(commutant_equations([op.lifted(n - 1, n)], size), below)
 
 
 def _vec_row(mat):
@@ -259,14 +293,10 @@ def _unvec(row, dim):
     return Matrix(dim, dim, data)
 
 
-@dataclass(frozen=True)
-class BicommutantReport:
-    operator: str
-    n: int
-    hecke_span: int
-    centralizer: int
-    bicommutant: int
-    ok: bool
+class BicommutantReport(
+    namedtuple("BicommutantReport", "operator n hecke_span centralizer bicommutant ok")
+):
+    __slots__ = ()
 
     def __str__(self):
         state = "pass" if self.ok else "FAIL"
@@ -344,15 +374,12 @@ def _next_batch(batch, gained, missing):
 # the three-route dimension check
 
 
-@dataclass
-class SchurDimensionReport:
-    operator: str
-    n: int
-    sum_of_squares: int
-    centralizer: int
-    e_dimension: int
-    table: MultiplicityTable
-    ok: bool
+class SchurDimensionReport(
+    namedtuple(
+        "SchurDimensionReport", "operator n sum_of_squares centralizer e_dimension table ok"
+    )
+):
+    __slots__ = ()
 
     def __str__(self):
         state = "pass" if self.ok else "FAIL"

@@ -24,7 +24,7 @@ from heckebialg.cli import (
     save_operator,
 )
 from heckebialg.exactnum import MAX_POWER_SIZE
-from heckebialg.linalg import rank
+from heckebialg import linalg
 from heckebialg.rmatrix import dj_r_matrix, super_flip
 from test_qalg import dense_dj2
 
@@ -553,23 +553,30 @@ def test_report_small(tmp_path):
 
 def test_report_computes_each_dimension_once(monkeypatch, tmp_path):
     # the dims, poincare, koszul and schur checks ask 35 times for dim A_n,
-    # 20 times for dim (A^!)_n and 5 times for a centralizer; each distinct
-    # value with n >= 2 (n >= 3 for the dual) takes one rank: 7 + 3 in qalg
-    # and 3 in schur.  Each of the three distributing bases takes one more,
-    # its full-rank test: 13 in qalg.  The centralizers are taken in a
-    # forked worker, so every rank appends a line to a file both processes
-    # share; the schur section reads them from the memo
-    log = tmp_path / "ranks"
-    for module in ("qalg", "schur"):
+    # 20 times for dim (A^!)_n and 5 times for a centralizer.  Each degree
+    # n >= 2 of a relation sum is one elimination, resumed from the degree
+    # below: S to n = 4, Lambda and E to n = 3, 7 in all.  Each distinct
+    # dual dimension with n >= 3 takes one rank, 3, and each of the three
+    # distributing bases one more, its full-rank test: 6 ranks in qalg.
+    # The centralizer of each degree n >= 2 is one elimination too, 2 in
+    # schur, taken in a forked worker, so every call appends a line to a
+    # file both processes share; the schur section reads them from the memo
+    log = tmp_path / "eliminations"
+    for module, name in (("qalg", "forward_eliminate"), ("qalg", "rank"), ("schur", "forward_eliminate")):
+        original = getattr(linalg, name)
 
-        def counted(rows, module=module):
+        def counted(*args, tag=f"{module}.{name}", original=original):
             with open(log, "a") as fh:
-                fh.write(module + "\n")
-            return rank(rows)
+                fh.write(tag + "\n")
+            return original(*args)
 
-        monkeypatch.setattr(f"heckebialg.{module}.rank", counted)
+        monkeypatch.setattr(f"heckebialg.{module}.{name}", counted)
     assert run(["report", "--builtin", "dj:2", "-N", "3"]) == 0
-    assert Counter(log.read_text().split()) == {"qalg": 13, "schur": 3}
+    assert Counter(log.read_text().split()) == {
+        "qalg.forward_eliminate": 7,
+        "qalg.rank": 6,
+        "schur.forward_eliminate": 2,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +724,20 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "all checks passed" in proc.stdout
+
+
+def test_import_leaves_out_dataclasses():
+    # every hbl run is a fresh interpreter: importing dataclasses (and the
+    # inspect module it pulls in) would add to the start-up of each
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, heckebialg.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_file_source_through_cli(tmp_path):

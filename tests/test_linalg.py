@@ -5,6 +5,7 @@ oracles: they are checked on randomly generated subspaces over Q(p) and
 over Q, with seeds fixed so failures reproduce.
 """
 
+import copy
 import random
 from fractions import Fraction
 
@@ -17,7 +18,9 @@ from heckebialg.linalg import (
     Matrix,
     commutant,
     commutant_equations,
+    copy_state,
     echelonize,
+    forward_eliminate,
     kernel,
     lift_rows,
     lift_to_position,
@@ -365,6 +368,25 @@ def row_lists(draw, symbolic=None):
 def test_rank_matches_echelonize(case):
     rows, ambient = case
     assert rank(rows) == echelonize(rows, ambient).dim
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_lists(), row_lists(), st.integers(1, 3))
+@example(([{0: P, 1: ONE}, {1: P + 1}], 2), ([{0: ONE, 3: P}, {1: Q, 2: ONE}], 4), 2)
+def test_copied_state_resumes_like_one_elimination(case, extra, copies):
+    # copies under c -> c * copies + j share no column, so their states stack
+    # with no elimination; resuming with more rows must span what all the
+    # rows span, and the state copied from stays as it was
+    rows, _ = case
+    more, _ = extra
+    state = forward_eliminate(rows)
+    kept = copy.deepcopy(state)
+    start = copy_state(state, lambda c: c * copies, range(copies))
+    assert len(start.pivots) == copies * len(state.pivots)
+    resumed = forward_eliminate(more, start)
+    assert state == kept
+    moved = [{c * copies + j: v for c, v in row.items()} for j in range(copies) for row in rows]
+    assert tuple(sorted(resumed.pivots)) == pivot_columns(moved + more)
 
 
 @settings(max_examples=100, deadline=None)

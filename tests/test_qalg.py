@@ -1,5 +1,6 @@
 """Quadratic algebras: graded dimensions, Koszul series, distributivity."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -12,12 +13,14 @@ from heckebialg.qalg import (
     DistributingBasis,
     QuadraticAlgebra,
     _Lattice,
+    _relation_sum,
     algebra_by_key,
     build_e,
     build_lambda,
     build_s,
     distributing_basis,
     distributivity_check,
+    dual_component,
     dual_graded_dimension,
     graded_dimension,
     koszul_series_check,
@@ -26,6 +29,7 @@ from heckebialg.qalg import (
     subspace_lattice_distributivity,
 )
 from heckebialg.rmatrix import HeckeOperator, dj_r_matrix, flip_operator, matrix_space_operator, super_flip
+from heckebialg.schur import _commutant_state, centralizer_dimension
 from test_linalg import zassenhaus_intersect
 
 
@@ -181,6 +185,61 @@ def test_relation_lifts_are_the_echelon_form_of_the_lifted_rows(name, build):
             echelonize(lift_rows(algebra.relations.basis, i, n, m), m**n) for i in range(1, n)
         )
         assert relation_lifts(algebra, n) is lifts
+
+
+# each operator with the largest ambient dimension its from-scratch ranks
+# are taken in: the dense rows of the symbolic file make its degree-5 ranks
+# take seconds, not milliseconds
+RESUME_OPERATORS = {
+    "dj:2": (lambda: dj_r_matrix(2), 1024),
+    "dj:3": (lambda: dj_r_matrix(3), 1024),
+    "superflip:1|1": (lambda: super_flip(1, 1), 1024),
+    "dense-dj2": (dense_dj2, 256),
+    "dense-dj2@p=3/2": (lambda: dense_dj2().specialize(Fraction(3, 2)), 256),
+}
+
+
+def ideal_rank_from_scratch(algebra, n):
+    """rank I_n by one elimination of every lift, no degree resumed."""
+    m = algebra.generators
+    return rank([row for i in range(1, n) for row in lift_rows(algebra.relations.basis, i, n, m)])
+
+
+def dual_from_scratch(algebra, n):
+    """D_n by the doubled-block intersections of the lifts, head to tail."""
+    lifts = relation_lifts(algebra, n)
+    acc = lifts[0]
+    for nxt in lifts[1:]:
+        acc = zassenhaus_intersect(acc, nxt)
+    return acc
+
+
+@pytest.mark.parametrize("build", [build_s, build_lambda, build_e], ids=["S", "Lambda", "E"])
+@pytest.mark.parametrize("name", list(RESUME_OPERATORS))
+def test_resumed_dimensions_match_the_eliminations_from_scratch(name, build):
+    make, budget = RESUME_OPERATORS[name]
+    algebra = build(make())
+    m = algebra.generators
+    for n in range(2, 6):
+        if m**n > budget:
+            break
+        assert graded_dimension(algebra, n) == m**n - ideal_rank_from_scratch(algebra, n), n
+        dual = dual_from_scratch(algebra, n)
+        assert dual_graded_dimension(algebra, n) == dual.dim, n
+        assert dual_component(algebra, n) == dual, n
+
+
+def test_a_state_is_unchanged_after_a_higher_degree_resumes_from_it():
+    # every degree copies the memoised state below it before eliminating
+    op = dense_dj2()
+    algebra = build_e(op)
+    states = {"ideal": _relation_sum(algebra, 3), "commutant": _commutant_state(op, 2)}
+    kept = copy.deepcopy(states)
+    assert graded_dimension(algebra, 4) == 35
+    assert centralizer_dimension(op, 3) == 20
+    assert _relation_sum(algebra, 3) is states["ideal"]
+    assert _commutant_state(op, 2) is states["commutant"]
+    assert states == kept
 
 
 def test_algebra_by_key():

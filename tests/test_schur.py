@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from heckebialg.exactnum import ONE, Q, ZERO, Scalar
-from heckebialg.linalg import Matrix, commutant, commutant_equations, echelonize
+from heckebialg.linalg import Matrix, commutant, commutant_equations, echelonize, rank
 from heckebialg.qalg import build_e, graded_dimension
 from heckebialg.rmatrix import HeckeOperator, dj_r_matrix, flip_operator, rho_basis, super_flip
 from heckebialg.schur import (
@@ -24,6 +24,7 @@ from heckebialg.schur import (
     sn_character_table,
 )
 from heckebialg.symhecke import all_permutations, cycle_type, length
+from test_qalg import RESUME_OPERATORS
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +211,18 @@ def test_centralizer_dj3_n2():
 
 def test_centralizer_superflip_n2():
     assert centralizer_dimension(super_flip(1, 1), 2) == 8
+
+
+@pytest.mark.parametrize("name", list(RESUME_OPERATORS))
+def test_resumed_centralizers_match_the_elimination_from_scratch(name):
+    make, budget = RESUME_OPERATORS[name]
+    op = make()
+    for n in range(1, 6):
+        size = op.d**n
+        if size * size > budget:
+            break
+        equations = commutant_equations([op.lifted(i, n) for i in range(1, n)], size)
+        assert centralizer_dimension(op, n) == size * size - rank(equations), n
 
 
 def test_centralizer_matches_e_dimension():
