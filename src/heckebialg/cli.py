@@ -201,6 +201,9 @@ def resolve_operator(args, budget=DEFAULT_BUDGET):
             op = op.specialize(Fraction(spec[2:]))
         except (ValueError, ZeroDivisionError) as exc:
             raise CLIError(f"bad specialization {spec!r}: {exc}") from None
+    if not op.q:
+        # R^2 = (q - 1) R + q, so R is invertible exactly when q is not 0
+        raise CLIError(f"{op.name!r} has q = 0, so its operator is not invertible")
     return op
 
 

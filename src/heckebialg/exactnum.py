@@ -22,13 +22,16 @@ file has little reuse, and unbounded caches there more than double the
 peak memory of a run.
 
 The ``zp_*`` helpers serve the fraction-free ``linalg.rank``.  They work on
-rows of polynomials in Z[p], {column: tuple} dicts in the same tuple
-format, and never form a fraction: ``zp_row`` takes a row of Scalars,
-Fractions or ints into Z[p] by the lcm of its denominators,
-``zp_cofactors`` gives the multipliers that clear a pivot, ``zp_combine``
-applies them, and ``zp_primitive`` divides a row by the gcd of its entries.
-A rank counts the same after a row is scaled by any nonzero element of
-Q(p), which is why no result needs the canonical form of a Scalar.
+polynomials in Z[p] in the same tuple format, and on rows of them,
+{column: tuple} dicts, and never form a fraction: ``zp_row`` takes a row of
+Scalars, Fractions or ints into Z[p] by the lcm of its denominators,
+``zp_cofactors`` gives the multipliers that clear a pivot, and
+``zp_primitive`` divides a row by the gcd of its entries.  ``linalg``
+applies the multipliers itself, to rows whose entries it packs into one
+int each (their values at p = 2^k), so a product of entries is one
+product of ints.  A rank counts the same after a row is scaled by any
+nonzero element of Q(p), which is why no result needs the canonical form
+of a Scalar.
 """
 
 from fractions import Fraction
@@ -526,36 +529,6 @@ def zp_cofactors(lead, f):
         lead = tuple(x // c for x in lead)
         f = tuple(x // c for x in f)
     return lead, f
-
-
-def zp_combine(vec, a, b, row):
-    """vec <- a * vec - b * row in place, for Z[p] rows and nonzero a, b.
-
-    The products run over the nonzero coefficients only: entries met in an
-    elimination over Q(p) with q = p^2 are often sparse in p.
-    """
-    if a != _PONE:
-        terms = [(i, x) for i, x in enumerate(a) if x]
-        for j, v in vec.items():
-            out = [0] * (len(a) + len(v) - 1)
-            for k, y in enumerate(v):
-                if y:
-                    for i, x in terms:
-                        out[i + k] += x * y
-            vec[j] = tuple(out)
-    terms = [(i, -x) for i, x in enumerate(b) if x]
-    for j, v in row.items():
-        out = list(vec.get(j, ()))
-        out += [0] * (len(b) + len(v) - 1 - len(out))
-        for k, y in enumerate(v):
-            if y:
-                for i, x in terms:
-                    out[i + k] += x * y
-        out = _ptrim(out)
-        if out:
-            vec[j] = out
-        else:
-            del vec[j]
 
 
 def _poly_str(c):

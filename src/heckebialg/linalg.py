@@ -67,7 +67,13 @@ scaled by a nonzero element of Q(p) spans the same line, so rows are
 taken into Z[p] and combined by polynomial multipliers only; the count is
 exact without a single reduced fraction, which spares the gcd that every
 Scalar sum and product pays.  The multipliers are gcd cofactors and each
-stored row is made primitive, which holds the entries small.
+stored row is made primitive, which holds the entries small.  Each entry
+is held as one int, the polynomial's value at p = 2^k (Kronecker
+substitution; Harvey, J. Symbolic Comput. 44, 2009), so combining two
+rows costs one product and one difference of ints per entry and the
+inner loop runs in the interpreter's integer code.  The shift k grows
+with the coefficients: the elimination bounds them, and re-encodes its
+rows at a wider shift before a bound could pass 2^(k-1).
 
 ``row_space`` builds a canonical basis the same way: the forward
 elimination of ``rank``, one back-substitution over Z[p], and one division
@@ -82,10 +88,10 @@ cores the lattice closure of S(dj:2) at n = 6 took 19.7 s against 12.4 s).
 """
 
 import heapq
-from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
 
-from .exactnum import ONE, ZERO, Scalar, zp_cofactors, zp_combine, zp_primitive, zp_row
+from .exactnum import _PONE, ONE, ZERO, Scalar, zp_cofactors, zp_primitive, zp_row
 
 __all__ = [
     "Matrix",
@@ -423,9 +429,174 @@ def pivot_columns(rows):
     return tuple(sorted(forward_eliminate(rows).pivots))
 
 
-# the state of ``forward_eliminate``: lists indexed by insertion, and a map
-# from each pivot column to its insertion index; the rank is len(pivots)
-Elimination = namedtuple("Elimination", "stored leads pivots index_of")
+# Packed Z[p] entries.  A polynomial with coefficients below 2^(k-1) in
+# absolute value is held as its value at p = 2^k, one int (Kronecker
+# substitution), so a product or sum of entries is one operation on ints.
+# The value is exact while the coefficients stay in that range: then the
+# balanced base-2^k digits of the int are the coefficients, and the int is
+# zero only for the zero polynomial.
+
+_MIN_SHIFT = 16  # the smallest shift a state starts with
+_SLACK = 16  # the bits of headroom a shift is chosen with
+
+
+def _pack(poly, k):
+    """The value of a Z[p] tuple at p = 2^k."""
+    x = poly[-1]
+    for c in poly[-2::-1]:
+        x = (x << k) + c
+    return x
+
+
+def _unpack(x, k):
+    """The Z[p] tuple packed at the shift k as x: its balanced base-2^k
+    digits, each taken off the bottom in turn."""
+    half = 1 << (k - 1)
+    if -half < x < half:
+        return (x,) if x else ()
+    mask, full = (1 << k) - 1, 1 << k
+    out = []
+    while x:
+        c = x & mask
+        if c >= half:
+            c -= full
+        out.append(c)
+        x = (x - c) >> k
+    return tuple(out)
+
+
+def _pack_row(row, k):
+    """A row of Z[p] tuples packed at the shift k; constants pack as themselves."""
+    return {j: v[0] if len(v) == 1 else _pack(v, k) for j, v in row.items()}
+
+
+def _unpack_row(row, k):
+    """A row packed at the shift k as Z[p] tuples."""
+    half = 1 << (k - 1)
+    return {j: (v,) if -half < v < half else _unpack(v, k) for j, v in row.items()}
+
+
+def _height(polys):
+    """The largest absolute value of a coefficient of the polynomials."""
+    return max(map(abs, chain.from_iterable(polys)), default=0)
+
+
+def _norm(poly):
+    """The sum of the absolute values of the coefficients."""
+    return sum(map(abs, poly))
+
+
+class Elimination:
+    """The state of ``forward_eliminate``; the rank is ``len(pivots)``.
+
+    Lists are indexed by insertion.  ``stored[k]`` is the k-th independent
+    row without its pivot entry ``leads[k]``, a Z[p] tuple; its entries are
+    packed at the state's ``shift`` and ``heights[k]`` bounds the absolute
+    values of their coefficients.  ``index_of`` maps each pivot column to
+    its insertion index.
+    """
+
+    __slots__ = ("stored", "leads", "pivots", "index_of", "heights", "shift")
+
+    def __init__(self, stored, leads, pivots, heights, shift):
+        self.stored = stored
+        self.leads = leads
+        self.pivots = pivots
+        self.index_of = {p: k for k, p in enumerate(pivots)}
+        self.heights = heights
+        self.shift = shift
+
+    def __eq__(self, other):
+        if not isinstance(other, Elimination):
+            return NotImplemented
+        return all(getattr(self, s) == getattr(other, s) for s in self.__slots__)
+
+    __hash__ = None
+
+
+def _widen(state, bound, vec):
+    """Re-encode the state's rows and ``vec`` at a shift that holds
+    coefficients up to ``bound``, at least half as wide again."""
+    k = state.shift
+    wide = max(bound.bit_length() + _SLACK, k + k // 2)
+    for row in state.stored + [vec]:
+        for j, v in row.items():
+            row[j] = _pack(_unpack(v, k), wide)
+    state.shift = wide
+
+
+def _clear(state, vec, height, i, f):
+    """Clear the pivot of stored row i from the packed row ``vec``, which
+    held ``f`` there (already popped) and has coefficients at most
+    ``height``: vec <- a vec - b row_i, (a, b) = ``zp_cofactors``(lead_i,
+    f), in place.  Returns the height bound of the result,
+    |a|_1 height + |b|_1 height_i, widening the state's shift first when
+    that bound would not fit in it.
+    """
+    k = state.shift
+    lead, below = state.leads[i], state.heights[i]
+    if lead == _PONE:
+        # a = 1 and b = f: f needs no decoding, and its norm is at most its
+        # height (that of vec) times its number of coefficients
+        a = b = None
+        bound = height + height * (abs(f).bit_length() // k + 1) * below
+    else:
+        a, b = zp_cofactors(lead, _unpack(f, k))
+        bound = _norm(a) * height + _norm(b) * below
+    if bound >> (k - 1):
+        # the bounds of a stored row that kept its unit entry may be loose
+        height = _height(_unpack_row(vec, k).values())
+        below = state.heights[i] = _height(_unpack_row(state.stored[i], k).values())
+        if b is None:
+            a, b = _PONE, _unpack(f, k)
+        bound = _norm(a) * height + _norm(b) * below
+        if bound >> (k - 1):
+            _widen(state, bound, vec)
+            k = state.shift
+    if b is not None:
+        f = b[0] if len(b) == 1 else _pack(b, k)
+        if a != _PONE:
+            scale = a[0] if len(a) == 1 else _pack(a, k)
+            for j, v in vec.items():
+                vec[j] = v * scale
+    get = vec.get
+    for j, v in state.stored[i].items():  # fetched after any re-encoding
+        s = get(j, 0) - f * v
+        if s:
+            vec[j] = s
+        else:
+            del vec[j]
+    return bound
+
+
+def _primitive(state, vec, height):
+    """A nonzero packed row, coefficients at most ``height``, made
+    primitive: (its pivot column, its lead as a Z[p] tuple, the rest packed,
+    a bound on the rest's coefficients).
+
+    An entry 1 or -1 leaves no content and no common factor, so such a row
+    only takes the sign that makes its lead's leading coefficient positive,
+    the sign of the packed lead, and keeps its bound.  Any other row is
+    decoded for ``_primitive_poly``.
+    """
+    if 1 in vec.values() or -1 in vec.values():
+        col = min(vec)
+        if vec[col] < 0:
+            vec = {j: -v for j, v in vec.items()}
+        return col, _unpack(vec.pop(col), state.shift), vec, height
+    return _primitive_poly(state, _unpack_row(vec, state.shift))
+
+
+def _primitive_poly(state, poly):
+    """A nonzero row of Z[p] tuples made primitive (``zp_primitive``), as
+    ``_primitive`` gives it, widening the state's shift if the rest needs it."""
+    poly = zp_primitive(poly)
+    col = min(poly)
+    lead = poly.pop(col)
+    height = _height(poly.values())
+    if height >> (state.shift - 1):
+        _widen(state, height, {})
+    return col, lead, _pack_row(poly, state.shift), height
 
 
 def forward_eliminate(rows, start=None):
@@ -440,46 +611,55 @@ def forward_eliminate(rows, start=None):
     (``zp_row``) and no step divides: a row holding f at the pivot of
     stored row k becomes (lead_k/g) vec - (f/g) row_k, g = gcd(lead_k, f),
     which clears that pivot and keeps the multipliers as small as they can
-    be (``zp_cofactors``, ``zp_combine``).  A row is made primitive once,
-    when it is stored (``zp_primitive``), which holds down the growth of
-    its entries.
+    be (``zp_cofactors``).  A row is made primitive once, when it is
+    stored (``zp_primitive``), which holds down the growth of its entries.
 
-    ``stored[k]`` is the k-th independent row without its pivot entry
-    ``leads[k]``; it is zero at the pivots of rows 0..k-1, and ``index_of``
-    maps each pivot column to its insertion index.  The rows an incoming
-    row is reduced by are popped from a heap of insertion indices: a
-    fill-in from row k can only be a pivot of a later row, so each row is
-    met once, in order.  A column that cancels and fills in again is
-    pushed twice; the second pop finds it absent and skips it.
+    Entries are packed (``_pack``), so a step costs one product and one
+    difference of ints per entry.  A row under reduction carries a bound
+    on its coefficients, which each step multiplies out; when the bound
+    would pass the shift, it is first recomputed from the row itself and
+    only if that does not fit either are the state's rows and the row
+    re-encoded at a wider shift.  Only the pivot entry is decoded at each
+    step, and a new row at most once, to be made primitive.
+
+    The stored row k is zero at the pivots of rows 0..k-1.  The rows an
+    incoming row is reduced by are popped from a heap of insertion
+    indices: a fill-in from row k can only be a pivot of a later row, so
+    each row is met once, in order.  A column that cancels and fills in
+    again is pushed twice; the second pop finds it absent and skips it.
     """
-    if start is None:
-        start = Elimination([], [], [], {})
-    stored, leads, pivots, index_of = start
+    state = Elimination([], [], [], [], _MIN_SHIFT) if start is None else start
+    stored, pivots, index_of = state.stored, state.pivots, state.index_of
     for raw in rows:
         vec = zp_row(raw)
         heap = [index_of[j] for j in vec.keys() & index_of.keys()]
-        heapq.heapify(heap)
-        while heap:
-            k = heapq.heappop(heap)
-            f = vec.pop(pivots[k], None)
-            if f is None:
-                continue
-            row = stored[k]
-            for j in row.keys() - vec.keys():
-                later = index_of.get(j)
-                if later is not None:
-                    heapq.heappush(heap, later)
-            a, b = zp_cofactors(leads[k], f)
-            zp_combine(vec, a, b, row)
-        if not vec:
-            continue
-        col = min(vec)
-        vec = zp_primitive(vec)
-        index_of[col] = len(stored)
-        leads.append(vec.pop(col))
-        pivots.append(col)
-        stored.append(vec)
-    return start
+        if not heap:
+            made = vec and _primitive_poly(state, vec)
+        else:
+            height = _height(vec.values())
+            if height >> (state.shift - 1):
+                _widen(state, height, {})
+            vec = _pack_row(vec, state.shift)
+            heapq.heapify(heap)
+            while heap:
+                i = heapq.heappop(heap)
+                f = vec.pop(pivots[i], None)
+                if f is None:
+                    continue
+                for j in stored[i].keys() - vec.keys():
+                    later = index_of.get(j)
+                    if later is not None:
+                        heapq.heappush(heap, later)
+                height = _clear(state, vec, height, i, f)
+            made = vec and _primitive(state, vec, height)
+        if made:
+            col, lead, row, height = made
+            index_of[col] = len(stored)
+            stored.append(row)
+            state.leads.append(lead)
+            pivots.append(col)
+            state.heights.append(height)
+    return state
 
 
 def copy_state(state, spread, offsets):
@@ -491,16 +671,18 @@ def copy_state(state, spread, offsets):
     pivots, only those of the later rows of its own copy, so the copies,
     one after another and each in its insertion order, keep the invariant
     of ``forward_eliminate`` with no elimination, and the rank is the
-    state's rank times the number of copies.  ``state`` is left as it is.
+    state's rank times the number of copies.  The copies keep the state's
+    shift and heights; ``state`` is left as it is.
     """
     spread_rows = [{spread(c): v for c, v in row.items()} for row in state.stored]
     spread_pivots = [spread(c) for c in state.pivots]
-    stored, leads, pivots = [], [], []
+    stored, leads, pivots, heights = [], [], [], []
     for o in offsets:
         stored.extend({c + o: v for c, v in row.items()} for row in spread_rows)
         leads.extend(state.leads)
         pivots.extend(p + o for p in spread_pivots)
-    return Elimination(stored, leads, pivots, {p: k for k, p in enumerate(pivots)})
+        heights.extend(state.heights)
+    return Elimination(stored, leads, pivots, heights, state.shift)
 
 
 def row_space(rows, ambient):
@@ -508,31 +690,34 @@ def row_space(rows, ambient):
     same as ``echelonize``'s, built fraction-free.
 
     After ``forward_eliminate``, row k holds only pivots of rows inserted
-    after it.  Back-substitution runs in reverse insertion order, so those
-    rows are fully reduced when row k is reached and clearing them from it
-    brings in no other pivot.  A touched row is made
-    primitive once; then each entry is divided by the row's lead once, so
-    pivot entries are ``ONE`` and every entry is a canonical Scalar.
+    after it.  Back-substitution runs on the packed rows in reverse
+    insertion order, so those rows are fully reduced when row k is
+    reached and clearing them from it brings in no other pivot.  A touched
+    row is made primitive once; then each entry is decoded and divided by
+    the row's lead once, so pivot entries are ``ONE`` and every entry is a
+    canonical Scalar.
     """
-    stored, leads, pivots, index_of = forward_eliminate(rows)
+    state = forward_eliminate(rows)
+    stored, leads, pivots, index_of = state.stored, state.leads, state.pivots, state.index_of
     for k in reversed(range(len(stored))):
-        vec = stored[k]
-        held = vec.keys() & index_of.keys()
+        held = stored[k].keys() & index_of.keys()
         if not held:
             continue
-        vec[pivots[k]] = leads[k]
+        # out of the list while it is reduced, so a re-encoding meets it once
+        vec, stored[k] = stored[k], {}
+        height = max(state.heights[k], _height([leads[k]]))
+        if height >> (state.shift - 1):
+            _widen(state, height, vec)
+        vec[pivots[k]] = _pack(leads[k], state.shift)
         for col in held:
-            l = index_of[col]
-            a, b = zp_cofactors(leads[l], vec.pop(col))
-            zp_combine(vec, a, b, stored[l])
-        vec = zp_primitive(vec)
-        leads[k] = vec.pop(pivots[k])
-        stored[k] = vec
+            height = _clear(state, vec, height, index_of[col], vec.pop(col))
+        _, leads[k], stored[k], state.heights[k] = _primitive(state, vec, height)
+    k = state.shift
     basis = []
-    for k in sorted(range(len(stored)), key=pivots.__getitem__):
-        lead = leads[k]
-        row = {j: Scalar._reduced(v, lead) for j, v in stored[k].items()}
-        row[pivots[k]] = ONE
+    for i in sorted(range(len(stored)), key=pivots.__getitem__):
+        lead = leads[i]
+        row = {j: Scalar._reduced(_unpack(v, k), lead) for j, v in stored[i].items()}
+        row[pivots[i]] = ONE
         basis.append(row)
     return Subspace(ambient, tuple(basis), tuple(sorted(pivots)))
 

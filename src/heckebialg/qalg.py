@@ -51,9 +51,11 @@ B.  The lattice is then the image of the lattice of subsets generated by
 the B_i under an injective map that preserves sum and meet; a lattice of
 sets is distributive, so the lattice is too.  B is built from the meets
 X_I of the generators (``distributing_basis``); its cost grows with the
-2^k subsets, not with the lattice.  The vectors in no generator number
-dim A_n and those in all of them dim (A^!)_n, which the report compares
-with the ranks.
+2^k subsets, not with the lattice.  A meet of consecutive generators,
+X_i & ... & X_j, is V^(i-1) (x) D_(j-i+2) (x) V^(n-j-1), column copies of
+a dual component, so only the other meets are intersected.  The vectors
+in no generator number dim A_n and those in all of them dim (A^!)_n,
+which the report compares with the ranks.
 
 The closure (``subspace_lattice_distributivity``) runs only to find a
 witness when the basis fails, or as a second route when a cap is given.
@@ -227,7 +229,7 @@ def dual_graded_dimension(algebra, n):
     last = _last_lift(algebra, n)
     if n == 2:
         return last.dim
-    head = _tensor_v(dual_component(algebra, n - 1), algebra.generators)
+    head = _embed(dual_component(algebra, n - 1), 1, algebra.generators)
     return head.dim - rank([last.reduce_vector(row) for row in head.basis])
 
 
@@ -239,15 +241,36 @@ def dual_component(algebra, n):
     last = _last_lift(algebra, n)
     if n == 2:
         return last
-    return subspace_intersect(_tensor_v(dual_component(algebra, n - 1), algebra.generators), last)
+    return subspace_intersect(_embed(dual_component(algebra, n - 1), 1, algebra.generators), last)
 
 
-def _tensor_v(sub, m):
-    """sub (x) V.  Its reduced echelon basis is m copies of sub's, the j-th
-    sending column c to c*m + j: the copies share no column, so no copy
-    holds another's pivots, and the rows come out sorted by pivot."""
-    rows = tuple({c * m + j: v for c, v in row.items()} for row in sub.basis for j in range(m))
-    return Subspace(sub.ambient * m, rows, tuple(p * m + j for p in sub.pivots for j in range(m)))
+def _embed(sub, pre, suf):
+    """V^a (x) sub (x) V^b, for pre = m^a and suf = m^b.  Its reduced
+    echelon basis is pre * suf copies of sub's, the copy (x, s) sending
+    column c to (x * width + c) * suf + s: the copies share no column, so
+    no copy holds another's pivots, and the rows come out sorted by pivot."""
+    width = sub.ambient
+    rows = tuple(
+        {(x * width + c) * suf + s: v for c, v in row.items()}
+        for x in range(pre)
+        for row in sub.basis
+        for s in range(suf)
+    )
+    pivots = tuple((x * width + p) * suf + s for x in range(pre) for p in sub.pivots for s in range(suf))
+    return Subspace(pre * width * suf, rows, pivots)
+
+
+def _interval_meets(algebra, n):
+    """The meets X_i & ... & X_j (i < j) of the shifted relations of degree
+    n, by the bitmask of their generators, with no elimination: each is
+    V^(i-1) (x) D_(j-i+2) (x) V^(n-j-1), a copy of ``dual_component``."""
+    m = algebra.generators
+    meets = {}
+    for i in range(n - 1):
+        for j in range(i + 1, n - 1):
+            mask = (1 << (j + 1)) - (1 << i)
+            meets[mask] = _embed(dual_component(algebra, j - i + 2), m**i, m ** (n - j - 2))
+    return meets
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +361,11 @@ def distributivity_check(algebra, n, cap=None, time_budget=None):
         time_budget=time_budget,
         label=algebra.label,
         degree=n,
+        known=_interval_meets(algebra, n),
     )
 
 
-def lattice_distributivity(gens, cap=None, time_budget=None, label="lattice", degree=0):
+def lattice_distributivity(gens, cap=None, time_budget=None, label="lattice", degree=0, known=None):
     """Decide distributivity of the lattice generated by ``gens``.
 
     The distributing basis decides it.  The closure runs only when the
@@ -350,10 +374,11 @@ def lattice_distributivity(gens, cap=None, time_budget=None, label="lattice", de
     ``distributive`` only if every route that ran says so, and
     ``non_distributive`` only with the closure's witness.  ``time_budget``
     bounds both routes together; a route that does not finish makes the
-    status ``inconclusive`` and ``note`` names its limit.
+    status ``inconclusive`` and ``note`` names its limit.  ``known`` maps
+    bitmasks of generators to their meets, where those are already built.
     """
     started = time.monotonic()
-    basis = distributing_basis(gens, time_budget, started)
+    basis = distributing_basis(gens, time_budget, started, known)
     if basis is None or _expired(time_budget, started):
         return DistributivityReport(
             label, degree, "inconclusive", note=_budget_note(time_budget), routes=["distributing-basis"]
@@ -428,12 +453,14 @@ class DistributingBasis(namedtuple("DistributingBasis", "gens blocks")):
         return rank(vectors) == ambient
 
 
-def distributing_basis(gens, time_budget=None, started=None):
+def distributing_basis(gens, time_budget=None, started=None, known=None):
     """Blocks B_I built from the meets X_I of the generators X_i.
 
-    X_I is the intersection of the X_i, i in I, each one
+    X_I is the intersection of the X_i, i in I: taken from ``known``, a
+    map from bitmasks to meets already built, or else one
     ``subspace_intersect`` from X_(I minus max I); for the empty I it is
-    the whole space with the unit basis.  The subsets are visited from the
+    the whole space with the unit basis.  ``certify`` checks the blocks
+    whatever the meets were.  The subsets are visited from the
     largest down, and B_I is a complement in X_I of S_I, the sum of the
     X_J just above I.  By induction X_J is spanned by the B_K with K
     containing J, so S_I is spanned by the B_J with J strictly containing
@@ -450,6 +477,7 @@ def distributing_basis(gens, time_budget=None, started=None):
     ambient = gens[0].ambient
     full = (1 << len(gens)) - 1
     meets = {1 << i: x for i, x in enumerate(gens)}
+    meets.update(known or {})
     for mask in range(3, full + 1):
         if mask not in meets:
             top = 1 << (mask.bit_length() - 1)

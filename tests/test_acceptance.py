@@ -12,8 +12,8 @@ from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from math import comb
 
-from heckebialg.cli import main
-from heckebialg.exactnum import ONE, rf_eval_at_one
+from heckebialg.cli import main, operator_to_document
+from heckebialg.exactnum import MAX_NESTING, MAX_POWER_SIZE, ONE, rf_eval_at_one
 from heckebialg.linalg import Matrix, echelonize
 from heckebialg.poincare import (
     b_sequence,
@@ -198,3 +198,62 @@ def test_criterion_9_full_report_run(tmp_path, capsys):
         document = json.loads(out.read_text())
         assert document["ok"] is True
         assert all(check["ok"] for check in document["checks"])
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract: 0 when every check passed, 1 when a check failed,
+# 2 when the run was refused, with no check run and nothing on stdout
+
+
+def refused(args, capsys, reason):
+    """True when ``hbl args`` exits 2 before any check, naming ``reason``."""
+    code = main(args)
+    captured = capsys.readouterr()
+    return code == 2 and reason in captured.err and captured.out == ""
+
+
+def test_criterion_10_exit_codes(tmp_path, capsys):
+    with criterion(10, 60, "exit 0 when all checks pass, 1 when one fails, 2 when refused", capsys):
+        out = tmp_path / "pass.json"
+        assert main(["axioms", "--builtin", "dj:2", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["ok"] is True
+        # a closure capped at one member leaves the distributivity check inconclusive
+        out = tmp_path / "fail.json"
+        assert main(["koszul", "--builtin", "dj:2", "-a", "E", "-n", "3", "--cap", "1", "-o", str(out)]) == 1
+        failed = [c["name"] for c in json.loads(out.read_text())["checks"] if not c["ok"]]
+        assert failed == ["koszul/distributivity/E(dj:2)"]
+        capsys.readouterr()
+        out = tmp_path / "refused.json"
+        assert refused(["dims", "--builtin", "dj:2", "-a", "E", "-N", "7", "-o", str(out)], capsys, "budget")
+        assert not out.exists()
+
+
+def test_criterion_11_no_vacuous_pass(capsys):
+    with criterion(11, 60, "no checks, koszul -n 1, degree 0 and dimension 0 are refused", capsys):
+        assert refused(["dims", "--builtin", "dj:2", "-N", "-1"], capsys, "no checks")
+        assert refused(["koszul", "--builtin", "dj:2", "-n", "1"], capsys, "degree")
+        assert refused(["koszul", "--builtin", "dj:2", "-n", "0"], capsys, "degree")
+        assert refused(["poincare", "--builtin", "dj:2", "-N", "0"], capsys, "degree")
+        assert refused(["axioms", "--builtin", "dj:0"], capsys, "d >= 1")
+
+
+def test_criterion_12_input_bounds(tmp_path, capsys):
+    with criterion(12, 60, "oversized powers, deep nesting and d^3 over the budget are refused", capsys):
+        path = tmp_path / "op.json"
+        for entry, reason in (
+            (f"p^{MAX_POWER_SIZE + 1}", "size bound"),
+            ("(" * (MAX_NESTING + 1) + "p" + ")" * (MAX_NESTING + 1), "nested deeper"),
+        ):
+            doc = operator_to_document(DJ2)
+            doc["entries"][1][2] = entry
+            path.write_text(json.dumps(doc))
+            assert refused(["axioms", "--file", str(path)], capsys, reason)
+        assert refused(["axioms", "--builtin", "dj:3", "--max-dim", "26"], capsys, "Yang-Baxter")
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert refused(["axioms", "--file", str(path)], capsys, "nested too deeply")
+
+
+def test_criterion_13_vanishing_q_refused(capsys):
+    with criterion(13, 60, "a specialization at q = 0 is refused: R is not invertible", capsys):
+        for args in (["dims", "-a", "E"], ["koszul", "-a", "E"], ["schur"], ["poincare"], ["report"]):
+            assert refused(args + ["--builtin", "dj:2", "--specialize", "p=0"], capsys, "q = 0"), args

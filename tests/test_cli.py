@@ -225,6 +225,19 @@ def test_degenerate_builtin_refused(name, capsys):
     assert "error:" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["dims", "-a", "E"], ["koszul", "-a", "E"], ["schur"], ["poincare"], ["report"]],
+    ids=["dims", "koszul", "schur", "poincare", "report"],
+)
+def test_specialization_with_vanishing_q_refused(args, capsys):
+    # at p = 0, q = p^2 = 0 and R^2 = -R: no inverse, so no check may run
+    assert run(args + ["--builtin", "dj:2", "--specialize", "p=0"]) == 2
+    captured = capsys.readouterr()
+    assert "q = 0" in captured.err and "not invertible" in captured.err
+    assert captured.out == ""
+
+
 def test_requires_exactly_one_source(capsys):
     assert run(["axioms"]) == 2
     assert "exactly one" in capsys.readouterr().err

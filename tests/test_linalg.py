@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from heckebialg import linalg
 from heckebialg.exactnum import ONE, P, Q, ZERO, Scalar
 from heckebialg.linalg import (
     Echelon,
@@ -387,6 +388,122 @@ def test_copied_state_resumes_like_one_elimination(case, extra, copies):
     assert state == kept
     moved = [{c * copies + j: v for c, v in row.items()} for j in range(copies) for row in rows]
     assert tuple(sorted(resumed.pivots)) == pivot_columns(moved + more)
+
+
+# Packed rows: coefficients that pass the packing shift.  Those from 2^8 to
+# 2^14 fit the first shift, so the first products cross it partway through
+# a reduction; those from 2^30 to 2^80 widen it before packing and again
+# partway through.
+wide_coefficients = st.builds(
+    lambda sign, c: sign * c,
+    st.sampled_from((1, -1)),
+    st.one_of(st.integers(2**8, 2**14), st.integers(2**30, 2**80), st.integers(0, 3)),
+)
+
+
+@st.composite
+def wide_row_lists(draw):
+    """Dense rows over Q(p) with wide coefficients, some of them dependent."""
+    ambient = draw(st.integers(2, 5))
+    num = st.lists(wide_coefficients, min_size=1, max_size=3).filter(any)
+    den = st.sampled_from(((1,), (1,), (1, 1), (-1, 0, 1)))
+    entry = st.builds(lambda n, d: Scalar._reduced(tuple(n), d), num, den)
+    row = st.dictionaries(st.integers(0, ambient - 1), entry, min_size=1, max_size=ambient)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        combo = dict(a)
+        for j, v in b.items():
+            combo[j] = combo.get(j, ZERO) + draw(entry) * v
+        rows.insert(draw(st.integers(0, len(rows))), combo)
+    return rows, ambient
+
+
+C = 2**40 + 1
+WIDE_EXAMPLES = (
+    # coefficients near 2^12: the second row's first step crosses the first shift
+    (
+        [
+            {0: 4096 * P + 4001, 1: 4093 * Q, 2: ONE, 3: 4001 * P},
+            {0: 3999 * P + 4093, 1: 4091 * P, 2: 4089 * Q + 1, 4: P},
+            {1: 4007 * P, 2: 4003 * P + 1, 3: 4013 * Q},
+        ],
+        5,
+    ),
+    # coefficients near 2^40 and 2^80, as in dj:2 conjugated by [[1, 2^40 + 1], [0, 1]]
+    (
+        [
+            {0: C * P - C, 1: C * C * Q - 2 * C * C * P + C * C, 2: P, 3: -C * P + C, 4: C * Q},
+            {1: Q - 1, 2: C * P - C, 3: P, 5: ONE},
+            {0: P, 1: C * Q, 3: C * C * P - 1, 4: P + 1},
+            {0: Q, 2: C * C * Q - C, 3: ONE, 5: C * P},
+        ],
+        6,
+    ),
+    # the last row is the sum of the first two: its reduction cancels to zero
+    (
+        [
+            {0: C * P + 1, 1: C * Q, 2: ONE},
+            {0: ONE, 1: C * C * P - C, 2: C * P},
+            {0: C * P + 2, 1: C * Q + C * C * P - C, 2: C * P + 1},
+        ],
+        3,
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_row_lists())
+@example(WIDE_EXAMPLES[0])
+@example(WIDE_EXAMPLES[1])
+@example(WIDE_EXAMPLES[2])
+def test_packed_elimination_matches_echelonize_past_the_shift(case):
+    rows, ambient = case
+    ech = echelonize(rows, ambient)
+    assert rank(rows) == ech.dim
+    assert pivot_columns(rows) == ech.pivots
+    assert row_space(rows, ambient) == ech
+
+
+@pytest.mark.parametrize("case", WIDE_EXAMPLES[:2], ids=["near-2^12", "near-2^80"])
+def test_a_reduction_that_crosses_the_shift_widens_it_partway(case, monkeypatch):
+    # the row under reduction is re-encoded along with the stored rows
+    rows, ambient = case
+    widened = []
+    original = linalg._widen
+
+    def spy(state, bound, vec):
+        widened.append(len(vec))
+        original(state, bound, vec)
+
+    monkeypatch.setattr(linalg, "_widen", spy)
+    state = forward_eliminate(rows)
+    assert any(widened), widened
+    ech = echelonize(rows, ambient)
+    assert len(state.pivots) == ech.dim
+    assert row_space(rows, ambient) == ech
+
+
+@settings(max_examples=40, deadline=None)
+@given(row_lists(symbolic=True), wide_row_lists(), st.integers(1, 3))
+@example(([{0: P, 1: ONE}, {1: P + 1}], 2), WIDE_EXAMPLES[1], 2)
+def test_a_copy_widened_on_resuming_leaves_its_source_alone(case, extra, copies):
+    # the copies share the source's packed ints; widening must rewrite only the copy's rows
+    rows, _ = case
+    more, _ = extra
+    state = forward_eliminate(rows)
+    kept = copy.deepcopy(state)
+    resumed = forward_eliminate(more, copy_state(state, lambda c: c * copies, range(copies)))
+    assert state == kept
+    moved = [{c * copies + j: v for c, v in row.items()} for j in range(copies) for row in rows]
+    assert tuple(sorted(resumed.pivots)) == pivot_columns(moved + more)
+
+
+def test_packing_round_trips_balanced_digits():
+    for k in (16, 17, 64):
+        half = 1 << (k - 1)
+        for poly in ((1,), (-1,), (half - 1, -(half - 1)), (0, 0, -5), (3, half - 1, 0, -7), (-(half - 1),) * 4):
+            assert linalg._unpack(linalg._pack(poly, k), k) == poly
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from heckebialg.exactnum import ONE, P, ZERO, Scalar
-from heckebialg.linalg import Matrix, echelonize, lift_rows, rank, row_space, subspace_sum
+from heckebialg.linalg import Matrix, echelonize, lift_rows, rank, row_space, subspace_intersect, subspace_sum
 from heckebialg.qalg import (
     DistributingBasis,
     QuadraticAlgebra,
     _Lattice,
+    _interval_meets,
     _relation_sum,
     algebra_by_key,
     build_e,
@@ -227,6 +228,22 @@ def test_resumed_dimensions_match_the_eliminations_from_scratch(name, build):
         dual = dual_from_scratch(algebra, n)
         assert dual_graded_dimension(algebra, n) == dual.dim, n
         assert dual_component(algebra, n) == dual, n
+
+
+@pytest.mark.parametrize("build", [build_s, build_lambda, build_e], ids=["S", "Lambda", "E"])
+@pytest.mark.parametrize("make", [lambda: dj_r_matrix(2), lambda: super_flip(1, 1), dense_dj2], ids=["dj:2", "superflip:1|1", "dense-dj2"])
+def test_interval_meets_are_the_intersections_they_copy(make, build):
+    # X_i & ... & X_j is V^(i-1) (x) D_(j-i+2) (x) V^(n-j-1): copied, not intersected
+    algebra = build(make())
+    for n in range(3, 6):
+        lifts = relation_lifts(algebra, n)
+        intersected = {}
+        for i in range(n - 1):
+            acc = lifts[i]
+            for j in range(i + 1, n - 1):
+                acc = subspace_intersect(acc, lifts[j])
+                intersected[(1 << (j + 1)) - (1 << i)] = acc
+        assert _interval_meets(algebra, n) == intersected, n
 
 
 def test_a_state_is_unchanged_after_a_higher_degree_resumes_from_it():
