@@ -8,17 +8,17 @@ dimensions are guarded by an explicit budget (``--max-dim`` or the
 HBL_MAX_AMBIENT variable, default 4096): oversized requests are refused
 with an error, never silently truncated.
 
-The centralizer routes share no state with the algebra side, so they run
-in one forked worker process (``Worker``) while the main process goes on:
-dim of the degree-n centralizer for ``dims -a E`` and the dims section of
-``report``, and the double-centralizer check for ``schur`` and ``report``.
-The values come back into the operator's memo, so a run still computes
-each once.  A lost worker costs only time: what it did not send is
-computed in the main process, so values, exceptions and exit codes are
-those of the one-process program.  A record's ``elapsed`` is the main
-process's wall time from the start of its check, waiting included;
-``schur/double-centralizer``, computed whole in the worker, carries the
-worker's own seconds.
+The centralizer routes share no state with the algebra side, so a run
+opens one forked worker process (``Worker``) that computes them while the
+main process goes on: the double centralizer of each degree for ``schur``
+and ``report``, the centralizer dimension of each degree for ``dims -a
+E`` (``_worker_jobs``).  The worker is the operator's memo for the run, so
+the checks ask for these values like any other memoised value and a run
+still computes each once.  A lost worker costs only time: what it did not
+send is computed in the main process, so values, exceptions and exit
+codes are those of the one-process program.  A record's ``elapsed`` is
+the main process's wall time from the start of its check, waiting
+included.
 """
 
 import argparse
@@ -258,12 +258,9 @@ class VerificationReport:
     def ok(self):
         return all(c.ok for c in self.checks)
 
-    def add(
-        self, name, computed, ok, degree=None, expected=None, routes=(), started=None, elapsed=None
-    ):
-        """Append a record; ``elapsed`` defaults to the seconds since ``started``."""
-        if elapsed is None:
-            elapsed = 0.0 if started is None else round(time.monotonic() - started, 6)
+    def add(self, name, computed, ok, degree=None, expected=None, routes=(), started=None):
+        """Append a record; its ``elapsed`` is the seconds since ``started``."""
+        elapsed = 0.0 if started is None else round(time.monotonic() - started, 6)
         self.checks.append(
             CheckRecord(name, degree, expected, computed, list(routes), bool(ok), elapsed)
         )
@@ -275,18 +272,7 @@ class VerificationReport:
             "command": self.command,
             "operator": self.operator,
             "parameters": self.parameters,
-            "checks": [
-                {
-                    "name": c.name,
-                    "degree": c.degree,
-                    "expected": c.expected,
-                    "computed": c.computed,
-                    "routes": c.routes,
-                    "ok": c.ok,
-                    "elapsed": c.elapsed,
-                }
-                for c in self.checks
-            ],
+            "checks": [c._asdict() for c in self.checks],
             "ok": self.ok,
         }
 
@@ -310,31 +296,33 @@ def _merge_routes(report, name, degree, by_route, started):
 # the centralizer worker
 
 
-class Worker:
-    """Memoised values of one operator computed in a forked child meanwhile.
+class Worker(dict):
+    """The memo of ``op`` for one run, with values computed in a forked child.
 
     ``jobs`` is an ordered list of (key, thunk): each thunk returns a
     ``rmatrix.memoised`` value of ``op`` and the key is its memo key.  On
-    entry one child is forked; it runs the thunks in order and sends each
-    (key, value, seconds) down a pipe.  ``get(key)`` reads the pipe until
-    that key arrives and stores every value it reads in ``op.memo``, so a
-    later request is a memo hit here too.  If the pipe ends first (the
-    child raised, crashed or was killed) the thunk runs in this process,
-    so values, exceptions and exit codes are the sequential program's.
-    Without ``os.fork``, or when the fork fails, every thunk runs here when
-    its key is asked for.  On exit the child is killed if still running
-    and always reaped.
+    entry the worker takes over the memo's entries and becomes ``op.memo``,
+    and one child is forked; it runs the thunks in order and sends each
+    (key, value) down a pipe.  A key missing here (``__missing__``) that
+    the child was given is read from the pipe, with every value before it;
+    any other key, or any key once the pipe has ended (the child raised,
+    crashed or was killed), is a ``KeyError``, so ``memoised`` computes the
+    value in this process and values, exceptions and exit codes are the
+    one-process program's.  Without ``os.fork``, or when the fork fails,
+    every value is computed here.  On exit the child is killed if still
+    running and always reaped.
     """
 
     def __init__(self, op, jobs):
-        self.memo = op.memo
-        self.jobs = dict(jobs)
-        self.values = {}  # key -> (value, seconds it took, in whichever process)
+        super().__init__(op.memo)
+        self._op = op
+        self._jobs = dict(jobs)
         self._pid = None
         self._pipe = None
 
     def __enter__(self):
-        if not self.jobs or not hasattr(os, "fork"):
+        self._op.memo = self
+        if not self._jobs or not hasattr(os, "fork"):
             return self
         import pickle
 
@@ -349,10 +337,8 @@ class Worker:
             try:
                 os.close(read_fd)
                 with os.fdopen(write_fd, "wb") as out:
-                    for key, thunk in self.jobs.items():
-                        started = time.monotonic()
-                        value = thunk()
-                        pickle.dump((key, value, round(time.monotonic() - started, 6)), out)
+                    for key, thunk in self._jobs.items():
+                        pickle.dump((key, thunk()), out)
                         out.flush()
             finally:
                 # never return into the parent's code, exit handlers or buffers
@@ -362,28 +348,22 @@ class Worker:
         self._pipe = os.fdopen(read_fd, "rb")
         return self
 
-    def get(self, key):
-        """(value, seconds) for ``key``, from the child or computed here."""
-        while key not in self.values and self._pipe is not None:
-            self._receive()
-        if key not in self.values:
-            started = time.monotonic()
-            value = self.jobs[key]()
-            self.values[key] = (value, round(time.monotonic() - started, 6))
-        return self.values[key]
+    def __missing__(self, key):
+        if key in self._jobs:
+            import pickle
 
-    def _receive(self):
-        import pickle
-
-        try:
-            key, value, seconds = pickle.load(self._pipe)
-        except (EOFError, pickle.UnpicklingError):
-            # the child is gone: what it did not send is computed here
-            self._pipe.close()
-            self._pipe = None
-            return
-        self.values[key] = (value, seconds)
-        self.memo[key] = value
+            while self._pipe is not None:
+                try:
+                    sent, value = pickle.load(self._pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    # the child is gone: what it did not send is computed here
+                    self._pipe.close()
+                    self._pipe = None
+                    break
+                self[sent] = value
+                if sent == key:
+                    return value
+        raise KeyError(key)
 
     def __exit__(self, *exc_info):
         if self._pid is not None:
@@ -397,11 +377,31 @@ class Worker:
             self._pipe = None
 
 
-def _memo_jobs(op, fn, name, degrees):
-    """Worker jobs for the memoised ``fn(op, n)``, whose memo key is (name, n).
+def _worker_jobs(op, args, budget):
+    """(memo key, thunk) of each value this run's worker computes, in the
+    order its checks ask for them.
 
-    The name is spelled out: ``fn`` may be a wrapper with another name.
+    ``schur`` and ``report`` take the double centralizer of each degree up
+    to the first the Schur checks refuse, ``dims -a E`` the centralizer
+    dimension of each degree within the budget; no other run forks.  The
+    memo key is spelled out: the function may be a wrapper with another
+    name.
     """
+    if args.command == "dims" and args.algebra == "E":
+        name, fn = "centralizer_dimension", centralizer_dimension
+        degrees = [n for n in range(1, args.max_degree + 1) if (op.d**n) ** 2 <= budget]
+    elif args.command in ("schur", "report"):
+        name, fn = "bicommutant_check", bicommutant_check
+        wanted = [args.degree] if args.command == "schur" else range(2, min(args.max_degree, 4) + 1)
+        degrees = []
+        for n in wanted:
+            try:
+                _require_schur(op, n, budget)
+            except CLIError:
+                break
+            degrees.append(n)
+    else:
+        return []
     return [((name, n), functools.partial(fn, op, n)) for n in degrees]
 
 
@@ -434,21 +434,16 @@ def _dims_by_route(algebra, key, n, budget):
     return {"direct-rank": graded_dimension(algebra, n)}
 
 
-def cmd_dims(op, report, key, max_degree, budget):
-    key = key.lower()
+def cmd_dims(op, report, algebra, max_degree, budget):
+    key = algebra.lower()
     algebra = algebra_by_key(op, "e" if key == "edual" else key)
     label = algebra.label if key != "edual" else f"dual of {algebra.label}"
-    # E's centralizer route, in every degree within the budget, runs in a
-    # worker while the ranks run here
-    degrees = [n for n in range(1, max_degree + 1) if key == "e" and (op.d**n) ** 2 <= budget]
-    jobs = _memo_jobs(op, centralizer_dimension, "centralizer_dimension", degrees)
-    with Worker(op, jobs) as centralizers:
-        for n in range(max_degree + 1):
-            started = time.monotonic()
-            by_route = _dims_by_route(algebra, key, n, budget)
-            if n in degrees:
-                by_route["centralizer"] = centralizers.get(("centralizer_dimension", n))[0]
-            _merge_routes(report, f"dims/{label}", n, by_route, started)
+    for n in range(max_degree + 1):
+        started = time.monotonic()
+        by_route = _dims_by_route(algebra, key, n, budget)
+        if key == "e" and n >= 1 and (op.d**n) ** 2 <= budget:
+            by_route["centralizer"] = centralizer_dimension(op, n)
+        _merge_routes(report, f"dims/{label}", n, by_route, started)
 
 
 def cmd_poincare(op, report, max_degree, budget):
@@ -515,13 +510,13 @@ def cmd_poincare(op, report, max_degree, budget):
         )
 
 
-def cmd_koszul(op, report, key, degree, cap, budget, time_budget=None):
+def cmd_koszul(op, report, algebra, degree, cap, budget, time_budget=None):
     if degree < 2:
         raise CLIError(
             f"the Koszul checks need degree n >= 2 (got {degree}): "
             "below that there are no relations to test"
         )
-    algebra = algebra_by_key(op, key)
+    algebra = algebra_by_key(op, algebra)
     require_budget(algebra.generators**degree, budget, f"degree {degree} of {algebra.label}")
 
     started = time.monotonic()
@@ -575,19 +570,8 @@ def _require_schur(op, degree, budget):
     require_budget(e_alg.generators**degree, budget, f"degree {degree} of {e_alg.label}")
 
 
-def cmd_schur(op, report, degree, budget, bicommutants=None):
-    """The Schur checks in one degree.  The double centralizer comes from
-    ``bicommutants``, a Worker, or from a worker of its own."""
+def cmd_schur(op, report, degree, budget):
     _require_schur(op, degree, budget)
-    if bicommutants is None:
-        jobs = _memo_jobs(op, bicommutant_check, "bicommutant_check", [degree])
-        with Worker(op, jobs) as bicommutants:
-            _schur_checks(op, report, degree, bicommutants)
-    else:
-        _schur_checks(op, report, degree, bicommutants)
-
-
-def _schur_checks(op, report, degree, bicommutants):
     e_alg = algebra_by_key(op, "e")
     if op.specialized_at is None:
         started = time.monotonic()
@@ -623,8 +607,8 @@ def _schur_checks(op, report, degree, bicommutants):
         }
         _merge_routes(report, "schur/dimension-two-routes", degree, by_route, started)
 
-    # computed whole in the worker: the record carries the worker's time
-    bic, seconds = bicommutants.get(("bicommutant_check", degree))
+    started = time.monotonic()
+    bic = bicommutant_check(op, degree)
     report.add(
         "schur/double-centralizer",
         computed={
@@ -635,7 +619,7 @@ def _schur_checks(op, report, degree, bicommutants):
         ok=bic.ok,
         degree=degree,
         routes=["centralizer"],
-        elapsed=seconds,
+        started=started,
     )
 
 
@@ -643,30 +627,29 @@ def cmd_report(op, report, max_degree, cap, budget, time_budget=None):
     if max_degree < 1:
         raise CLIError(f"the report needs degree N >= 1 (got {max_degree})")
     cmd_axioms(op, report, max(max_degree, 8), budget)
-    degrees = range(2, min(max_degree, 4) + 1)
-    # the double centralizers, the last records, run in a worker meanwhile;
-    # it stops before the first degree the Schur checks refuse
-    reachable = []
-    for n in degrees:
-        try:
-            _require_schur(op, n, budget)
-        except CLIError:
-            break
-        reachable.append(n)
-    jobs = _memo_jobs(op, bicommutant_check, "bicommutant_check", reachable)
-    with Worker(op, jobs) as bicommutants:
-        for key in ("s", "lambda", "e", "edual"):
-            cmd_dims(op, report, key, max_degree, budget)
-        cmd_poincare(op, report, max_degree, budget)
-        if max_degree >= 2:
-            for key in ("s", "lambda", "e"):
-                cmd_koszul(op, report, key, max_degree, cap, budget, time_budget)
-        for n in degrees:
-            cmd_schur(op, report, n, budget, bicommutants)
+    for key in ("s", "lambda", "e", "edual"):
+        cmd_dims(op, report, key, max_degree, budget)
+    cmd_poincare(op, report, max_degree, budget)
+    if max_degree >= 2:
+        for key in ("s", "lambda", "e"):
+            cmd_koszul(op, report, key, max_degree, cap, budget, time_budget)
+    for n in range(2, min(max_degree, 4) + 1):
+        cmd_schur(op, report, n, budget)
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
+
+
+# each subcommand and the arguments its report lists as parameters
+COMMANDS = {
+    "axioms": (cmd_axioms, ("max_degree",)),
+    "dims": (cmd_dims, ("algebra", "max_degree")),
+    "poincare": (cmd_poincare, ("max_degree",)),
+    "koszul": (cmd_koszul, ("algebra", "degree", "cap", "time_budget")),
+    "schur": (cmd_schur, ("degree",)),
+    "report": (cmd_report, ("max_degree", "cap", "time_budget")),
+}
 
 
 TIME_BUDGET_HELP = "seconds each distributivity check may run before it is inconclusive"
@@ -732,36 +715,12 @@ def main(argv=None):
             raise CLIError(f"the time budget must be a positive number of seconds (got {time_budget})")
         budget = ambient_budget(args)
         op = resolve_operator(args, budget)
-        params = {}
-        report = None
-        if args.command == "axioms":
-            params = {"max_degree": args.max_degree}
-            report = VerificationReport("axioms", op.name, params)
-            cmd_axioms(op, report, args.max_degree, budget)
-        elif args.command == "dims":
-            params = {"algebra": args.algebra, "max_degree": args.max_degree}
-            report = VerificationReport("dims", op.name, params)
-            cmd_dims(op, report, args.algebra.lower(), args.max_degree, budget)
-        elif args.command == "poincare":
-            params = {"max_degree": args.max_degree}
-            report = VerificationReport("poincare", op.name, params)
-            cmd_poincare(op, report, args.max_degree, budget)
-        elif args.command == "koszul":
-            params = {"algebra": args.algebra, "degree": args.degree, "cap": cap}
-            if time_budget is not None:
-                params["time_budget"] = time_budget
-            report = VerificationReport("koszul", op.name, params)
-            cmd_koszul(op, report, args.algebra.lower(), args.degree, cap, budget, time_budget)
-        elif args.command == "schur":
-            params = {"degree": args.degree}
-            report = VerificationReport("schur", op.name, params)
-            cmd_schur(op, report, args.degree, budget)
-        elif args.command == "report":
-            params = {"max_degree": args.max_degree, "cap": cap}
-            if time_budget is not None:
-                params["time_budget"] = time_budget
-            report = VerificationReport("report", op.name, params)
-            cmd_report(op, report, args.max_degree, cap, budget, time_budget)
+        command, names = COMMANDS[args.command]
+        # time_budget is a parameter of the run only when it is given
+        params = {k: getattr(args, k) for k in names if k != "time_budget" or time_budget is not None}
+        report = VerificationReport(args.command, op.name, params)
+        with Worker(op, _worker_jobs(op, args, budget)):
+            command(op, report, budget=budget, **params)
         if not report.checks:
             raise CLIError("these parameters give no checks to run")
     except CLIError as exc:

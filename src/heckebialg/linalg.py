@@ -361,7 +361,7 @@ class Echelon:
 
     Once the stored rows number ``ambient`` they span k^ambient, every
     later row lies in their span and the basis is the identity already,
-    so no later row is read.
+    so no later row is read, and a lazy stream of rows is not advanced.
     """
 
     __slots__ = ("ambient", "row_of", "holders")
@@ -378,9 +378,9 @@ class Echelon:
     def feed(self, rows):
         """Take the rows in order, stopping once the whole space is spanned."""
         row_of, holders = self.row_of, self.holders
+        if len(row_of) == self.ambient:
+            return  # the whole space: every row lies in it
         for raw in rows:
-            if len(row_of) == self.ambient:
-                break  # the whole space: every later row lies in it
             vec = {j: v for j, v in raw.items() if v}
             for p in sorted(row_of.keys() & vec.keys()):
                 _row_axpy(vec, -vec.pop(p), row_of[p], skip=p)
@@ -406,6 +406,8 @@ class Echelon:
                 for j in fills:
                     holders[j].append(p)
             row_of[col] = vec
+            if len(row_of) == self.ambient:
+                return  # the whole space: every later row lies in it
 
     def subspace(self):
         """The span so far.  It shares the stored rows, which a later batch

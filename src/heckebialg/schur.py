@@ -325,12 +325,10 @@ def bicommutant_check(op, n):
         dim c2 = dim span + (N - |P|) - rank E_P.
 
     The check passes exactly when E_P has full column rank N - |P|, so no
-    basis of c2 is built: the rows of E_P come in from c1's basis matrices
-    in batches, each fed once to one ``Echelon``, and the elimination stops
-    when it reaches full rank or the matrices run out.  A batch holds as
-    many matrices as the rank still missing needs at the rank the last
-    batch gained per matrix, and at most twice the last batch, so few rows
-    are built past full rank.
+    basis of c2 is built: the rows of E_P stream into one ``Echelon``,
+    built from c1's basis matrices one matrix at a time, and the
+    elimination stops when it reaches full rank or the matrices run out.
+    No matrix after the one that reaches full rank is read.
     """
     size = op.d**n
     gens = [op.lifted(i, n) for i in range(1, n)]
@@ -341,16 +339,12 @@ def bicommutant_check(op, n):
     off_pivots = sorted(set(range(size * size)) - set(span.pivots))
     keep = {k: i for i, k in enumerate(off_pivots)}
     free = len(keep)
-    reduced, start, batch = Echelon(free), 0, 1
-    while reduced.rank < free and start < c1.dim:
-        mats = [_unvec(row, size) for row in c1.basis[start : start + batch]]
-        before = reduced.rank
-        reduced.feed(
-            {keep[k]: v for k, v in eq.items() if k in keep}
-            for eq in commutant_equations(mats, size)
-        )
-        start += batch
-        batch = _next_batch(batch, reduced.rank - before, free - reduced.rank)
+    reduced = Echelon(free)
+    reduced.feed(
+        {keep[k]: v for k, v in eq.items() if k in keep}
+        for row in c1.basis
+        for eq in commutant_equations([_unvec(row, size)], size)
+    )
     bicommutant = span.dim + free - reduced.rank
     return BicommutantReport(
         operator=op.name,
@@ -360,14 +354,6 @@ def bicommutant_check(op, n):
         bicommutant=bicommutant,
         ok=bicommutant == span.dim,
     )
-
-
-def _next_batch(batch, gained, missing):
-    """Matrices for the next batch: enough, at the last batch's rank gained
-    per matrix, to supply the ``missing`` rank, and at most twice as many."""
-    if gained == 0:
-        return 2 * batch
-    return max(1, min(2 * batch, -(-missing * batch // gained)))
 
 
 # ---------------------------------------------------------------------------

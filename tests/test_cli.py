@@ -1,5 +1,6 @@
 """CLI behavior: sources, budgets, reports, schemas, exit codes."""
 
+import functools
 import json
 import os
 import subprocess
@@ -25,7 +26,7 @@ from heckebialg.cli import (
 )
 from heckebialg.exactnum import MAX_POWER_SIZE
 from heckebialg import linalg
-from heckebialg.rmatrix import dj_r_matrix, super_flip
+from heckebialg.rmatrix import dj_r_matrix, memoised, super_flip
 from test_qalg import dense_dj2
 
 SCHEMA_DIR = __file__.rsplit("/", 2)[0] + "/docs"
@@ -572,8 +573,8 @@ def test_report_computes_each_dimension_once(monkeypatch, tmp_path):
     # dual dimension with n >= 3 takes one rank, 3, and each of the three
     # distributing bases one more, its full-rank test: 6 ranks in qalg.
     # The centralizer of each degree n >= 2 is one elimination too, 2 in
-    # schur, taken in a forked worker, so every call appends a line to a
-    # file both processes share; the schur section reads them from the memo
+    # schur.  Every call appends a line to a file, which the forked worker
+    # (it takes the double centralizers) would share
     log = tmp_path / "eliminations"
     for module, name in (("qalg", "forward_eliminate"), ("qalg", "rank"), ("schur", "forward_eliminate")):
         original = getattr(linalg, name)
@@ -618,17 +619,24 @@ def no_children_left():
     return True
 
 
+# each run kind and the forks it makes: one worker per run that has
+# centralizer values for it, none for any other
 WORKER_RUNS = {
-    "report-dj2-N3": (["report", "--builtin", "dj:2", "-N", "3"], 2),
-    "report-dj3-N2": (["report", "--builtin", "dj:3", "-N", "2"], 2),
+    "report-dj2-N3": (["report", "--builtin", "dj:2", "-N", "3"], 1),
+    "report-dj3-N2": (["report", "--builtin", "dj:3", "-N", "2"], 1),
     "schur-dj2-n3": (["schur", "--builtin", "dj:2", "-n", "3"], 1),
     "dims-dense-E-N3": (["dims", "--file", "{dense}", "-a", "E", "-N", "3"], 1),
+    "dims-dj2-S-N4": (["dims", "--builtin", "dj:2", "-a", "S", "-N", "4"], 0),
+    "dims-dj2-Edual-N3": (["dims", "--builtin", "dj:2", "-a", "Edual", "-N", "3"], 0),
+    "koszul-dj2-E-n3": (["koszul", "--builtin", "dj:2", "-a", "E", "-n", "3"], 0),
+    "poincare-dj2-N4": (["poincare", "--builtin", "dj:2", "-N", "4"], 0),
+    "axioms-dj2": (["axioms", "--builtin", "dj:2"], 0),
 }
 
 
 @pytest.mark.parametrize("name", list(WORKER_RUNS))
 def test_worker_runs_match_the_inline_runs(name, monkeypatch, tmp_path, capsys):
-    # without os.fork every job runs inline; nothing else may differ
+    # without os.fork every value is computed inline; nothing else may differ
     args, workers = WORKER_RUNS[name]
     args = [dense_dj2_file(tmp_path) if a == "{dense}" else a for a in args]
     forks = []
@@ -671,18 +679,57 @@ def test_a_lost_worker_costs_only_time(how, monkeypatch, tmp_path, capsys):
     assert no_children_left()
 
 
-def test_worker_raises_where_the_sequential_run_raises():
-    def boom():
-        raise ValueError("boom")
+@memoised
+def pid(owner, n):
+    return os.getpid()
 
+
+@memoised
+def boom(owner, n):
+    raise ValueError("boom")
+
+
+@memoised
+def slow(owner, n):
+    time.sleep(60)
+    return os.getpid()
+
+
+def job(fn, owner, n):
+    """A worker job for the memoised ``fn(owner, n)``: its memo key and thunk."""
+    return (fn.__name__, n), functools.partial(fn, owner, n)
+
+
+def test_worker_raises_where_the_sequential_run_raises():
     owner = SimpleNamespace(memo={})
-    with Worker(owner, [("a", lambda: 1), ("b", boom), ("c", lambda: 3)]) as worker:
-        assert worker.get("a")[0] == 1
+    with Worker(owner, [job(pid, owner, 1), job(boom, owner, 2), job(pid, owner, 3)]) as memo:
+        assert owner.memo is memo
+        assert pid(owner, 1) != os.getpid()
         with pytest.raises(ValueError, match="boom"):
-            worker.get("b")
-        assert worker.get("c")[0] == 3
-    # what the child sent is in the memo; "c" was computed here after the pipe ended
-    assert owner.memo == {"a": 1}
+            boom(owner, 2)
+        # the pipe ended at the raise: what the child did not send is computed here
+        assert pid(owner, 3) == os.getpid()
+    assert no_children_left()
+
+
+def test_the_memo_holds_what_the_worker_sent():
+    owner = SimpleNamespace(memo={("pid", 0): "kept"})
+    with Worker(owner, [job(pid, owner, n) for n in (1, 2, 3)] + [job(slow, owner, 5)]):
+        # a key no job names is computed here at once, not waited for
+        started = time.monotonic()
+        here = pid(owner, 4)
+        assert time.monotonic() - started < 30
+        assert here == os.getpid()
+        # asking for the last value reads every value before it
+        child = pid(owner, 3)
+        assert child != here
+        assert dict(owner.memo) == {
+            ("pid", 0): "kept",
+            ("pid", 1): child,
+            ("pid", 2): child,
+            ("pid", 3): child,
+            ("pid", 4): here,
+        }
     assert no_children_left()
 
 
@@ -692,8 +739,8 @@ def test_a_refused_fork_runs_every_job_here(monkeypatch):
 
     monkeypatch.setattr(os, "fork", refused)
     owner = SimpleNamespace(memo={})
-    with Worker(owner, [("a", lambda: 1), ("b", lambda: 2)]) as worker:
-        assert (worker.get("b")[0], worker.get("a")[0]) == (2, 1)
+    with Worker(owner, [job(pid, owner, 1), job(pid, owner, 2)]):
+        assert (pid(owner, 2), pid(owner, 1)) == (os.getpid(), os.getpid())
     assert no_children_left()
 
 

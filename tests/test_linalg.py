@@ -293,6 +293,15 @@ def test_echelon_fed_in_batches_matches_one_pass():
     acc.feed([Unreadable({0: ONE})])
     assert acc.rank == m
 
+    def stream():
+        yield from [{j: P**j + i for j in range(i, m)} for i in range(m)]
+        raise AssertionError("advanced past full rank")
+
+    # a lazy stream is not advanced past the row that fills the space
+    acc = Echelon(m)
+    acc.feed(stream())
+    assert acc.rank == m
+
 
 def test_echelonize_symbolic_relations_match_specialized_oracle():
     algebra = build_e(dj_r_matrix(2))

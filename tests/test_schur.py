@@ -6,11 +6,10 @@ from fractions import Fraction
 import pytest
 
 from heckebialg.exactnum import ONE, Q, ZERO, Scalar
-from heckebialg.linalg import Matrix, commutant, commutant_equations, echelonize, rank
+from heckebialg.linalg import Echelon, Matrix, commutant, commutant_equations, echelonize, rank
 from heckebialg.qalg import build_e, graded_dimension
 from heckebialg.rmatrix import HeckeOperator, dj_r_matrix, flip_operator, rho_basis, super_flip
 from heckebialg.schur import (
-    _next_batch,
     _unvec,
     _vec_row,
     bicommutant_check,
@@ -305,29 +304,32 @@ def test_bicommutant_matches_full_commutant_oracle(make, n):
     assert (rep.hecke_span, rep.centralizer, rep.bicommutant, rep.ok) == bicommutant_oracle(op, n)
 
 
-def test_bicommutant_batches_follow_the_missing_rank(monkeypatch):
-    # each batch of c1's matrices is sized by the rank E_P still misses, at
-    # most twice the last; the verdict stays the oracle's
-    batches = []
+def test_bicommutant_builds_no_equations_past_full_rank(monkeypatch):
+    # c1's basis matrices stream into the elimination one at a time; every
+    # matrix whose equations are built finds E_P short of full rank, so none
+    # after the one that reaches it is built, and the verdict stays the oracle's
+    reductions, ranks_seen = [], []
+
+    class Seen(Echelon):
+        def __init__(self, ambient):
+            super().__init__(ambient)
+            reductions.append(self)
 
     def counted(mats, size):
-        batches.append(len(mats))
+        assert len(mats) == 1
+        ranks_seen.append(reductions[-1].rank)
         return commutant_equations(mats, size)
 
+    monkeypatch.setattr("heckebialg.schur.Echelon", Seen)
     monkeypatch.setattr("heckebialg.schur.commutant_equations", counted)
     op = dj_r_matrix(3)
     rep = bicommutant_check(op, 3)
     assert (rep.hecke_span, rep.centralizer, rep.bicommutant, rep.ok) == bicommutant_oracle(op, 3)
-    assert batches == [1, 2, 4, 8, 8, 3, 2, 4, 8, 16, 32]
-    assert all(b <= 2 * a for a, b in zip(batches, batches[1:]))
-
-
-@pytest.mark.parametrize(
-    "batch, gained, missing, expected",
-    [(4, 0, 10, 8), (8, 40, 10, 2), (2, 1, 100, 4), (8, 80, 1, 1), (3, 2, 5, 6)],
-)
-def test_next_batch(batch, gained, missing, expected):
-    assert _next_batch(batch, gained, missing) == expected
+    (reduced,) = reductions
+    assert reduced.rank == reduced.ambient
+    assert all(r < reduced.ambient for r in ranks_seen)
+    # the stream stopped well before c1's basis ran out
+    assert len(ranks_seen) < rep.centralizer
 
 
 def test_bicommutant_fails_on_a_diagonal_operator():
