@@ -132,7 +132,11 @@ def operator_from_document(doc, budget=DEFAULT_BUDGET):
     to the ambient budget before any entry is parsed.
     """
     try:
-        d = int(doc["d"])
+        d = doc["d"]
+        # the schema's integer: 2.0 is one, true, "2" and 2.5 are not
+        if isinstance(d, bool) or not isinstance(d, (int, float)) or d % 1:
+            raise ValueError(f"d must be an integer, got {d!r}")
+        d = int(d)
         name = str(doc["name"])
         q = scalar(str(doc["q"]))
         entries = doc["entries"]
@@ -516,7 +520,7 @@ def cmd_koszul(op, report, algebra, degree, cap, budget, time_budget=None):
             f"the Koszul checks need degree n >= 2 (got {degree}): "
             "below that there are no relations to test"
         )
-    algebra = algebra_by_key(op, algebra)
+    algebra = algebra_by_key(op, algebra.lower())
     require_budget(algebra.generators**degree, budget, f"degree {degree} of {algebra.label}")
 
     started = time.monotonic()
@@ -572,10 +576,9 @@ def _require_schur(op, degree, budget):
 
 def cmd_schur(op, report, degree, budget):
     _require_schur(op, degree, budget)
-    e_alg = algebra_by_key(op, "e")
     if op.specialized_at is None:
         started = time.monotonic()
-        rep = schur_dimension_check(op, degree, e_algebra=e_alg)
+        rep = schur_dimension_check(op, degree)
         report.add(
             "schur/dimension-three-routes",
             computed={
@@ -603,7 +606,7 @@ def cmd_schur(op, report, degree, budget):
         started = time.monotonic()
         by_route = {
             "centralizer": centralizer_dimension(op, degree),
-            "direct-rank": graded_dimension(e_alg, degree),
+            "direct-rank": graded_dimension(algebra_by_key(op, "e"), degree),
         }
         _merge_routes(report, "schur/dimension-two-routes", degree, by_route, started)
 

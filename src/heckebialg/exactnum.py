@@ -46,7 +46,6 @@ __all__ = [
     "Q",
     "scalar",
     "q_int",
-    "q_fact",
     "rf_eval_at_one",
     "PoleAtOneError",
     "parse_scalar",
@@ -376,17 +375,6 @@ class Scalar:
             raise ZeroDivisionError(f"pole at p = {x}")
         return Fraction(_peval(self.num, x)) / d
 
-    def is_constant(self):
-        return len(self.num) <= 1 and len(self.den) <= 1
-
-    def as_fraction(self):
-        """The constant value, for scalars not involving p."""
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self}")
-        if not self.num:
-            return Fraction(0)
-        return Fraction(self.num[0], self.den[0])
-
     def __str__(self):
         if self.den == _PONE:
             return _poly_str(self.num)
@@ -578,14 +566,6 @@ def q_int(n, q=Q):
     out = ZERO
     for k in range(n):
         out = out + q**k
-    return out
-
-
-def q_fact(n):
-    """[n]_q! = [1]_q [2]_q ... [n]_q; [0]_q! = 1."""
-    out = ONE
-    for k in range(2, n + 1):
-        out = out * q_int(k)
     return out
 
 

@@ -37,10 +37,10 @@ Both visit their rows in ascending pivot order, the order of a full scan,
 so the exact operations performed do not depend on the lookups.
 ``echelonize`` also stops reading rows once it holds as many as the
 ambient dimension: they span the whole space, whose reduced basis is the
-identity, so no later row can change the result.  Its loop is the
-``Echelon`` accumulator, which also takes rows batch by batch, so a
-full-rank test (the bicommutant check's) reads each row once and costs
-only the rows it takes to reach full rank.
+identity, so no later row can change the result.  Its loop,
+``_reduced_echelon``, takes any iterable of rows, so a full-rank test
+(the bicommutant check's) can stream its rows in and pays only for those
+it reads before reaching full rank.
 
 A dimension needs no basis, and ``rank`` returns only that: it is forward
 elimination, with no back-elimination and no basis built.  Its invariant
@@ -81,8 +81,8 @@ per entry at the end.  The reduced echelon form is unique and Scalars are
 canonical, so it returns exactly what ``echelonize`` does.  It serves the
 one-shot images of operator matrices, the relation spaces of S, Lambda
 and E, whose dense rows make the Scalar back-elimination cost a gcd per
-operation.  ``Echelon`` (so ``echelonize``, ``kernel``, the intersections
-and ``Matrix.inverse``) stays in reduced Scalars: it is fed many small,
+operation.  ``echelonize`` (so ``kernel``, the intersections and
+``Matrix.inverse``) stays in reduced Scalars: it is fed many small,
 sparse systems, where a fraction-free accumulator measured slower (on 2
 cores the lattice closure of S(dj:2) at n = 6 took 19.7 s against 12.4 s).
 """
@@ -97,7 +97,6 @@ __all__ = [
     "Matrix",
     "Subspace",
     "echelonize",
-    "Echelon",
     "rank",
     "pivot_columns",
     "Elimination",
@@ -338,15 +337,15 @@ class Subspace:
 
 
 def echelonize(rows, ambient):
-    """Reduced row echelon Subspace spanned by the given sparse rows: an
-    ``Echelon`` fed once."""
-    acc = Echelon(ambient)
-    acc.feed(rows)
-    return acc.subspace()
+    """Reduced row echelon Subspace spanned by the given sparse rows."""
+    row_of = _reduced_echelon(rows, ambient)
+    pivots = tuple(sorted(row_of))
+    return Subspace(ambient, tuple(row_of[p] for p in pivots), pivots)
 
 
-class Echelon:
-    """The reduced row echelon form of the rows fed so far, batch by batch.
+def _reduced_echelon(rows, ambient):
+    """The reduced row echelon form of the rows, as pivot column -> row,
+    each pivot entry an exact one.
 
     Two invariants keep the cost with the nonzeros touched:
 
@@ -363,57 +362,39 @@ class Echelon:
     later row lies in their span and the basis is the identity already,
     so no later row is read, and a lazy stream of rows is not advanced.
     """
-
-    __slots__ = ("ambient", "row_of", "holders")
-
-    def __init__(self, ambient):
-        self.ambient = ambient
-        self.row_of = {}  # pivot column -> its row, pivot entry an exact one
-        self.holders = {}  # non-pivot column -> pivot columns of the rows that may hold it
-
-    @property
-    def rank(self):
-        return len(self.row_of)
-
-    def feed(self, rows):
-        """Take the rows in order, stopping once the whole space is spanned."""
-        row_of, holders = self.row_of, self.holders
-        if len(row_of) == self.ambient:
-            return  # the whole space: every row lies in it
-        for raw in rows:
-            vec = {j: v for j, v in raw.items() if v}
-            for p in sorted(row_of.keys() & vec.keys()):
-                _row_axpy(vec, -vec.pop(p), row_of[p], skip=p)
-            if not vec:
-                continue
-            col = min(vec)
-            lead = vec.pop(col)
-            one = lead**0
-            if lead != one:
-                inv = one / lead
-                for j in vec:
-                    vec[j] = vec[j] * inv
+    row_of = {}  # pivot column -> its row
+    holders = {}  # non-pivot column -> pivot columns of the rows that may hold it
+    if not ambient:
+        return row_of  # the zero space: no row can add to it
+    for raw in rows:
+        vec = {j: v for j, v in raw.items() if v}
+        for p in sorted(row_of.keys() & vec.keys()):
+            _row_axpy(vec, -vec.pop(p), row_of[p], skip=p)
+        if not vec:
+            continue
+        col = min(vec)
+        lead = vec.pop(col)
+        one = lead**0
+        if lead != one:
+            inv = one / lead
             for j in vec:
-                holders.setdefault(j, []).append(col)
-            vec[col] = one
-            for p in sorted(holders.pop(col, ())):
-                row = row_of[p]
-                if col not in row:
-                    continue
-                # the columns the row lacks all fill in (products of nonzeros)
-                fills = vec.keys() - row.keys()
-                _row_axpy(row, -row.pop(col), vec, skip=col)
-                for j in fills:
-                    holders[j].append(p)
-            row_of[col] = vec
-            if len(row_of) == self.ambient:
-                return  # the whole space: every later row lies in it
-
-    def subspace(self):
-        """The span so far.  It shares the stored rows, which a later batch
-        may change, so take it after the last batch."""
-        pivots = tuple(sorted(self.row_of))
-        return Subspace(self.ambient, tuple(self.row_of[p] for p in pivots), pivots)
+                vec[j] = vec[j] * inv
+        for j in vec:
+            holders.setdefault(j, []).append(col)
+        vec[col] = one
+        for p in sorted(holders.pop(col, ())):
+            row = row_of[p]
+            if col not in row:
+                continue
+            # the columns the row lacks all fill in (products of nonzeros)
+            fills = vec.keys() - row.keys()
+            _row_axpy(row, -row.pop(col), vec, skip=col)
+            for j in fills:
+                holders[j].append(p)
+        row_of[col] = vec
+        if len(row_of) == ambient:
+            break  # the whole space: every later row lies in it
+    return row_of
 
 
 def rank(rows):

@@ -118,28 +118,8 @@ def t_specialize_p_from_operator(op, max_index):
 # the character recursion, verified as an identity of Scalars
 
 
-class CharacterRecursionReport(
-    namedtuple(
-        "CharacterRecursionReport",
-        "operator max_degree rows ok p_zero naive_p0_fails note",
-        defaults=("",),
-    )
-):
-    """``rows`` holds (n, lhs string, rhs string, ok) for n = 1..max_degree."""
-
-    __slots__ = ()
-
-    def __str__(self):
-        head = (
-            f"character recursion for {self.operator}, n = 1..{self.max_degree}: "
-            f"{'pass' if self.ok else 'FAIL'} (p_0 = {self.p_zero})"
-        )
-        lines = [head]
-        for n, lhs, rhs, ok in self.rows:
-            lines.append(f"  n={n}: [{n}]_q s_{n} = {lhs} ?= {rhs}  {'ok' if ok else 'MISMATCH'}")
-        if self.note:
-            lines.append("  " + self.note)
-        return "\n".join(lines)
+# ``rows`` holds (n, lhs string, rhs string, ok) for n = 1..N
+CharacterRecursionReport = namedtuple("CharacterRecursionReport", "rows ok p_zero naive_p0_fails note")
 
 
 def verify_character_recursion(op, max_degree):
@@ -175,8 +155,6 @@ def verify_character_recursion(op, max_degree):
         else "p_0 = 1 happens to work here (d = 1)"
     )
     return CharacterRecursionReport(
-        operator=op.name,
-        max_degree=max_degree,
         rows=rows,
         ok=all_ok,
         p_zero=str(p[0]) if p else str(ONE),

@@ -76,7 +76,6 @@ from .linalg import (
     Subspace,
     copy_state,
     forward_eliminate,
-    lift_rows,
     pivot_columns,
     rank,
     row_space,
@@ -136,10 +135,9 @@ def build_s(op):
     return QuadraticAlgebra(op.d, rel, f"S({op.name})")
 
 
-def build_e(op, wop=None):
+def build_e(op):
     """The matrix-bialgebra function algebra: relations Im(Rbar - 1) on W."""
-    if wop is None:
-        wop = matrix_space_operator(op)
+    wop = matrix_space_operator(op)
     m = wop.d * wop.d
     rel = row_space((wop.R - Matrix.identity(m)).data, m)
     return QuadraticAlgebra(wop.d, rel, f"E({op.name})")
@@ -147,43 +145,32 @@ def build_e(op, wop=None):
 
 @memoised
 def algebra_by_key(op, key):
-    key = key.lower()
-    if key in ("s", "sym"):
+    """S, Lambda or E of the operator, by the key ``s``, ``lambda`` or ``e``."""
+    if key == "s":
         return build_s(op)
-    if key in ("lambda", "lam", "ext"):
+    if key == "lambda":
         return build_lambda(op)
-    if key in ("e", "end", "edual"):
+    if key == "e":
         return build_e(op)
     raise ValueError(f"unknown algebra key {key!r}")
 
 
 @memoised
 def relation_lifts(algebra, n):
-    """R_i^n(A) for i = 1..n-1, as echelonized subspaces of m^n.
-
-    No elimination is needed: ``lift_rows`` sends the reduced echelon
-    basis of the relations, block by block, to rows with disjoint columns
-    (one block per prefix and suffix index), and within a block its column
-    map is increasing.  So the lifted rows are zero at each other's pivots,
-    the pivot of a lifted row is the image of its pivot, and sorted by
-    pivot they are the reduced echelon basis of the lift.
-    """
+    """R_i^n(A) = V^(i-1) (x) R (x) V^(n-i-1) for i = 1..n-1, as
+    echelonized subspaces of m^n (``_embed``: no elimination)."""
     if n < 2:
         return ()
-    return tuple(_lift(algebra, i, n) for i in range(1, n - 1)) + (_last_lift(algebra, n),)
+    m = algebra.generators
+    lifts = tuple(_embed(algebra.relations, m ** (i - 1), m ** (n - i - 1)) for i in range(1, n - 1))
+    return lifts + (_last_lift(algebra, n),)
 
 
 @memoised
 def _last_lift(algebra, n):
     """R_(n-1)^n(A) = V^(n-2) (x) R: the one lift the degree-n relation sum
     and dual take in beyond the copies of degree n-1."""
-    return _lift(algebra, n - 1, n)
-
-
-def _lift(algebra, i, n):
-    m = algebra.generators
-    rows = sorted(lift_rows(algebra.relations.basis, i, n, m), key=min)
-    return Subspace(m**n, tuple(rows), tuple(min(row) for row in rows))
+    return _embed(algebra.relations, algebra.generators ** (n - 2), 1)
 
 
 @memoised
@@ -277,19 +264,8 @@ def _interval_meets(algebra, n):
 # numerical Koszul criterion on Hilbert series
 
 
-class KoszulSeriesReport(
-    namedtuple("KoszulSeriesReport", "label max_degree dims dual_dims residuals ok")
-):
-    """``residuals[n - 1]`` is the coefficient n of P_A(t) * P_dual(-t), n = 1..N."""
-
-    __slots__ = ()
-
-    def __str__(self):
-        state = "pass" if self.ok else "FAIL"
-        return (
-            f"koszul-series {self.label} N={self.max_degree} {state} "
-            f"dims={self.dims} dual={self.dual_dims}"
-        )
+# ``residuals[n - 1]`` is the coefficient n of P_A(t) * P_dual(-t), n = 1..N
+KoszulSeriesReport = namedtuple("KoszulSeriesReport", "dims dual_dims residuals ok")
 
 
 def koszul_series_check(algebra, max_degree):
@@ -304,8 +280,6 @@ def koszul_series_check(algebra, max_degree):
     for n in range(1, max_degree + 1):
         residuals.append(sum((-1) ** j * b[j] * a[n - j] for j in range(n + 1)))
     return KoszulSeriesReport(
-        label=algebra.label,
-        max_degree=max_degree,
         dims=a,
         dual_dims=b,
         residuals=residuals,
@@ -320,7 +294,7 @@ def koszul_series_check(algebra, max_degree):
 class DistributivityReport(
     namedtuple(
         "DistributivityReport",
-        "label degree status closure_size honest_ops certified_ops witness note routes free dual",
+        "status closure_size honest_ops certified_ops witness note routes free dual",
         defaults=(0, 0, 0, None, "", ("closure",), None, None),
     )
 ):
@@ -332,24 +306,6 @@ class DistributivityReport(
 
     __slots__ = ()
 
-    def __bool__(self):
-        return self.status == "distributive"
-
-    def __str__(self):
-        extra = ""
-        if self.free is not None:
-            extra += f" (basis: {self.free} free, {self.dual} dual)"
-        if "closure" in self.routes:
-            extra += (
-                f" (closure {self.closure_size}, {self.honest_ops} eliminations,"
-                f" {self.certified_ops} certified)"
-            )
-        if self.witness:
-            extra += f" witness dims {tuple(s.dim for s in self.witness[:3])}"
-        if self.note:
-            extra += f" {self.note}"
-        return f"distributivity {self.label} n={self.degree}: {self.status}{extra}"
-
 
 def distributivity_check(algebra, n, cap=None, time_budget=None):
     """Decide distributivity of the lattice generated by the shifted
@@ -359,13 +315,11 @@ def distributivity_check(algebra, n, cap=None, time_budget=None):
         relation_lifts(algebra, n),
         cap=cap,
         time_budget=time_budget,
-        label=algebra.label,
-        degree=n,
         known=_interval_meets(algebra, n),
     )
 
 
-def lattice_distributivity(gens, cap=None, time_budget=None, label="lattice", degree=0, known=None):
+def lattice_distributivity(gens, cap=None, time_budget=None, known=None):
     """Decide distributivity of the lattice generated by ``gens``.
 
     The distributing basis decides it.  The closure runs only when the
@@ -380,19 +334,16 @@ def lattice_distributivity(gens, cap=None, time_budget=None, label="lattice", de
     started = time.monotonic()
     basis = distributing_basis(gens, time_budget, started, known)
     if basis is None or _expired(time_budget, started):
-        return DistributivityReport(
-            label, degree, "inconclusive", note=_budget_note(time_budget), routes=["distributing-basis"]
-        )
+        note = _budget_note(time_budget)
+        return DistributivityReport("inconclusive", note=note, routes=["distributing-basis"])
     holds = basis.certify()
     counts = {"free": basis.free, "dual": basis.dual}
     if holds and cap is None:
-        return DistributivityReport(label, degree, "distributive", routes=["distributing-basis"], **counts)
+        return DistributivityReport("distributive", routes=["distributing-basis"], **counts)
     closure = subspace_lattice_distributivity(
         gens,
         cap=200 if cap is None else cap,
         time_budget=time_budget,
-        label=label,
-        degree=degree,
         started=started,
     )
     report = closure._replace(routes=["distributing-basis", "closure"], **counts)
@@ -562,14 +513,7 @@ class _Lattice:
         return table[(i, j) if i <= j else (j, i)]
 
 
-def subspace_lattice_distributivity(
-    gens,
-    cap=200,
-    time_budget=None,
-    label="lattice",
-    degree=0,
-    started=None,
-):
+def subspace_lattice_distributivity(gens, cap=200, time_budget=None, started=None):
     """Decide distributivity by closing the lattice under sum and meet.
 
     The status is ``distributive``, ``non_distributive`` (with a witness
@@ -586,7 +530,7 @@ def subspace_lattice_distributivity(
 
     def report(status, note="", witness=None):
         return DistributivityReport(
-            label, degree, status, len(lat.members), lat.honest_ops, lat.certified_ops, witness, note
+            status, len(lat.members), lat.honest_ops, lat.certified_ops, witness, note
         )
 
     while True:

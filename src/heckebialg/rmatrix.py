@@ -25,7 +25,9 @@ of the coordinate space of matrices); the result satisfies the braid
 relation but generally not the quadratic one.  ``staircase_projector``
 builds the q-averaged projector family P_n(S) by the staircase recursion of
 the q-symmetrizer.  For S = -Rbar its image is the intersection of the
-shifted images of S, used for dual graded dimensions; for S = R it is the
+shifted images of S, the degree-n dual component; the library takes dual
+graded dimensions from ``qalg.dual_component`` instead, and the projector
+image is the tests' independent route to them.  For S = R it is the
 represented symmetrizer, whose trace ``staircase_projector_trace`` gives
 without building all of S_n.
 """
@@ -126,7 +128,13 @@ class HeckeOperator:
         return self._inverse
 
     def specialize(self, p0):
-        """The same operator with p evaluated at a rational point."""
+        """The same operator with p evaluated at a rational point.
+
+        An operator that is already specialized holds numbers, not
+        expressions in p, so it is refused rather than relabelled.
+        """
+        if self.specialized_at is not None:
+            raise ValueError(f"already specialized at p = {self.specialized_at}")
         p0 = Fraction(p0)
         return HeckeOperator(
             self.d,
@@ -379,7 +387,7 @@ def staircase_projector(s_op, n, q, dim):
 
     P_1 = identity.  For S = -Rbar the image of P_n is the intersection of
     the images of Rbar_i - 1, the degree-n component of the dual quadratic
-    algebra.
+    algebra; the tests compare it with ``qalg.dual_component``.
     """
     proj = Matrix.identity(dim)
     for m in range(2, n + 1):

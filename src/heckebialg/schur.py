@@ -21,15 +21,15 @@ from functools import lru_cache
 
 from .exactnum import rf_eval_at_one
 from .linalg import (
-    Echelon,
     Matrix,
+    _reduced_echelon,
     commutant,
     commutant_equations,
     copy_state,
     echelonize,
     forward_eliminate,
 )
-from .qalg import build_e, graded_dimension
+from .qalg import algebra_by_key, graded_dimension
 from .rmatrix import character, memoised, rho_basis
 
 __all__ = [
@@ -173,28 +173,22 @@ def sn_character_table(n):
 # multiplicities at q = 1
 
 
-class MultiplicityTable(namedtuple("MultiplicityTable", "n mult dims")):
+class MultiplicityTable(namedtuple("MultiplicityTable", "mult dims")):
     """``mult`` maps each partition to a nonnegative integer, ``dims`` to f_lambda."""
 
     __slots__ = ()
 
-    def __new__(cls, n, mult, dims):
+    def __new__(cls, mult, dims):
         assert set(mult) == set(dims)
         for lam, m in mult.items():
             assert m >= 0, f"negative multiplicity at {lam}"
-        return super().__new__(cls, n, mult, dims)
+        return super().__new__(cls, mult, dims)
 
     def sum_of_squares(self):
         return sum(m * m for m in self.mult.values())
 
     def total_dimension(self):
         return sum(m * self.dims[lam] for lam, m in self.mult.items())
-
-    def __str__(self):
-        cells = ", ".join(
-            f"{lam}: {self.mult[lam]}" for lam in sorted(self.mult, reverse=True)
-        )
-        return f"multiplicities n={self.n} {{{cells}}}"
 
 
 def multiplicities(op, n):
@@ -225,7 +219,7 @@ def multiplicities(op, n):
             raise ValueError(f"multiplicity at {lam} is {m}, not a nonnegative integer")
         mult[lam] = int(m)
     dims = {lam: table.dimension(lam) for lam in table.parts}
-    out = MultiplicityTable(n, mult, dims)
+    out = MultiplicityTable(mult, dims)
     if out.total_dimension() != op.d**n:
         raise ValueError(
             f"multiplicities sum to {out.total_dimension()}, expected {op.d**n}"
@@ -293,17 +287,7 @@ def _unvec(row, dim):
     return Matrix(dim, dim, data)
 
 
-class BicommutantReport(
-    namedtuple("BicommutantReport", "operator n hecke_span centralizer bicommutant ok")
-):
-    __slots__ = ()
-
-    def __str__(self):
-        state = "pass" if self.ok else "FAIL"
-        return (
-            f"double centralizer {self.operator} n={self.n}: span {self.hecke_span}"
-            f" = bicommutant {self.bicommutant} (centralizer {self.centralizer}) {state}"
-        )
+BicommutantReport = namedtuple("BicommutantReport", "hecke_span centralizer bicommutant ok")
 
 
 @memoised
@@ -325,10 +309,11 @@ def bicommutant_check(op, n):
         dim c2 = dim span + (N - |P|) - rank E_P.
 
     The check passes exactly when E_P has full column rank N - |P|, so no
-    basis of c2 is built: the rows of E_P stream into one ``Echelon``,
-    built from c1's basis matrices one matrix at a time, and the
-    elimination stops when it reaches full rank or the matrices run out.
-    No matrix after the one that reaches full rank is read.
+    basis of c2 is built: the rows of E_P stream into one elimination
+    (``linalg._reduced_echelon``), built from c1's basis matrices one
+    matrix at a time, and the elimination stops when it reaches full rank
+    or the matrices run out.  No matrix after the one that reaches full
+    rank is read.
     """
     size = op.d**n
     gens = [op.lifted(i, n) for i in range(1, n)]
@@ -339,16 +324,13 @@ def bicommutant_check(op, n):
     off_pivots = sorted(set(range(size * size)) - set(span.pivots))
     keep = {k: i for i, k in enumerate(off_pivots)}
     free = len(keep)
-    reduced = Echelon(free)
-    reduced.feed(
+    rows = (
         {keep[k]: v for k, v in eq.items() if k in keep}
         for row in c1.basis
         for eq in commutant_equations([_unvec(row, size)], size)
     )
-    bicommutant = span.dim + free - reduced.rank
+    bicommutant = span.dim + free - len(_reduced_echelon(rows, free))
     return BicommutantReport(
-        operator=op.name,
-        n=n,
         hecke_span=span.dim,
         centralizer=c1.dim,
         bicommutant=bicommutant,
@@ -360,33 +342,16 @@ def bicommutant_check(op, n):
 # the three-route dimension check
 
 
-class SchurDimensionReport(
-    namedtuple(
-        "SchurDimensionReport", "operator n sum_of_squares centralizer e_dimension table ok"
-    )
-):
-    __slots__ = ()
-
-    def __str__(self):
-        state = "pass" if self.ok else "FAIL"
-        return (
-            f"schur dimensions {self.operator} n={self.n}: "
-            f"sum m^2 = {self.sum_of_squares}, centralizer = {self.centralizer}, "
-            f"dim E_{self.n} = {self.e_dimension} {state}"
-        )
+SchurDimensionReport = namedtuple("SchurDimensionReport", "sum_of_squares centralizer e_dimension table ok")
 
 
-def schur_dimension_check(op, n, e_algebra=None):
+def schur_dimension_check(op, n):
     """Verify sum m_lambda^2 = centralizer dimension = dim E_n."""
     table = multiplicities(op, n)
     cdim = centralizer_dimension(op, n)
-    if e_algebra is None:
-        e_algebra = build_e(op)
-    edim = graded_dimension(e_algebra, n)
+    edim = graded_dimension(algebra_by_key(op, "e"), n)
     squares = table.sum_of_squares()
     return SchurDimensionReport(
-        operator=op.name,
-        n=n,
         sum_of_squares=squares,
         centralizer=cdim,
         e_dimension=edim,

@@ -173,9 +173,8 @@ def test_criterion_7_distributivity_and_koszul_series(capsys):
 
 def test_criterion_8_schur_weyl_dimensions(capsys):
     with criterion(8, 600, "multiplicity mass, centralizer, and bicommutant checks", capsys):
-        e_dj2 = build_e(DJ2)
         for n, total in ((2, 10), (3, 20)):
-            report = schur_dimension_check(DJ2, n, e_dj2)
+            report = schur_dimension_check(DJ2, n)
             assert report.ok, str(report)
             assert report.sum_of_squares == total
             assert report.table.total_dimension() == 2**n

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -110,6 +111,12 @@ def test_zero_dimensional_document_rejected():
     doc["d"], doc["entries"] = 0, []
     with pytest.raises(CLIError, match="d >= 1"):
         operator_from_document(doc)
+    # and for an integer: no truncation of 2.5, no reading of "2" or true
+    for d in (2.5, "2", True):
+        doc = operator_to_document(dj_r_matrix(2))
+        doc["d"] = d
+        with pytest.raises(CLIError, match="malformed operator document"):
+            operator_from_document(doc)
 
 
 def test_oversized_power_rejected():
@@ -185,8 +192,6 @@ def test_missing_file():
 
 
 def test_specialized_document_roundtrip(tmp_path):
-    from fractions import Fraction
-
     op = dj_r_matrix(2).specialize(Fraction(3, 2))
     doc = operator_to_document(op)
     assert doc["parameter"] == "3/2"
@@ -444,9 +449,16 @@ def test_poincare_specialized(tmp_path):
     assert p_rec["routes"] == ["formula"]
 
 
-def test_bad_specialization(capsys):
+def test_bad_specialization(tmp_path, capsys):
     assert run(["dims", "--builtin", "dj:2", "--specialize", "3/2"]) == 2
     assert "p=<rational>" in capsys.readouterr().err
+    # a file already at p = 3/2 holds numbers: a second value of p would
+    # only relabel what was computed at the first
+    path = str(tmp_path / "op.json")
+    save_operator(dj_r_matrix(2).specialize(Fraction(3, 2)), path)
+    assert run(["dims", "--file", path, "-a", "S", "-N", "2", "--specialize", "p=2"]) == 2
+    out = capsys.readouterr()
+    assert "already specialized at p = 3/2" in out.err and not out.out
 
 
 # ---------------------------------------------------------------------------
@@ -787,17 +799,23 @@ def test_console_entry_point():
 
 
 def test_import_leaves_out_dataclasses():
-    # every hbl run is a fresh interpreter: importing dataclasses (and the
-    # inspect module it pulls in) would add to the start-up of each
+    # every hbl run is a fresh interpreter, so each module the import pulls
+    # in adds to the start-up of every run.  Diffed against the bare
+    # interpreter, since site preloads modules on some machines; pickle and
+    # signal are the worker's, imported only when it forks
     src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = "import sys; before = set(sys.modules); import heckebialg.cli; print(*set(sys.modules) - before)"
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, heckebialg.cli; print('dataclasses' in sys.modules)"],
+        [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    added = set(proc.stdout.split())
+    assert "heckebialg.cli" in added
+    heavy = {"dataclasses", "inspect", "ast", "typing", "pickle", "signal", "subprocess", "threading"}
+    assert not added & heavy
 
 
 def test_file_source_through_cli(tmp_path):

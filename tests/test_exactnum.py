@@ -20,7 +20,6 @@ from heckebialg.exactnum import (
     PoleAtOneError,
     Scalar,
     parse_scalar,
-    q_fact,
     q_int,
     rf_eval_at_one,
     scalar,
@@ -146,20 +145,6 @@ def test_q_int_specializes_to_n():
     assert q_int(3, Q) == q_int(3, Q * ONE) == Q**2 + Q + 1
     assert q_int(3, Fraction(1, 2)) == Fraction(7, 4)
     assert q_int(0, Fraction(1, 2)) == ZERO
-
-
-def test_q_fact():
-    assert q_fact(0) == ONE
-    assert q_fact(3) == (Q + 1) * (Q * Q + Q + 1)
-    assert rf_eval_at_one(q_fact(4)) == 24
-
-
-def test_constant_accessors():
-    assert (Scalar(6) / 4).as_fraction() == Fraction(3, 2)
-    assert ZERO.as_fraction() == 0
-    assert not (P + 1).is_constant()
-    with pytest.raises(ValueError):
-        (P + 1).as_fraction()
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from heckebialg import linalg
 from heckebialg.exactnum import ONE, P, Q, ZERO, Scalar
 from heckebialg.linalg import (
-    Echelon,
     Matrix,
     commutant,
     commutant_equations,
@@ -275,32 +274,23 @@ def test_echelonize_stops_at_full_rank():
 
 
 def test_echelon_fed_in_batches_matches_one_pass():
-    # the accumulator carries its reduced rows from batch to batch
+    # the elimination behind echelonize takes a lazy stream, as the
+    # bicommutant check feeds it, and reads no row past the one that fills
+    # the space; its rank is the fraction-free one
     rng = random.Random(73)
     for ambient in (64, 160):
         rows = sparse_rows(rng, 48, ambient)
-        acc = Echelon(ambient)
-        start = 0
-        for size in (1, 2, 5, 11, 29):
-            acc.feed(rows[start : start + size])
-            start += size
-            assert acc.rank == rank(rows[:start])
-        assert acc.subspace() == echelonize(rows, ambient)
-    # full after the first batch: a later batch is never read
+        assert len(linalg._reduced_echelon(iter(rows), ambient)) == rank(rows)
     m = 4
-    acc = Echelon(m)
-    acc.feed([{j: P**j + i for j in range(i, m)} for i in range(m)])
-    acc.feed([Unreadable({0: ONE})])
-    assert acc.rank == m
 
-    def stream():
-        yield from [{j: P**j + i for j in range(i, m)} for i in range(m)]
+    def stream(full):
+        yield from full
         raise AssertionError("advanced past full rank")
 
-    # a lazy stream is not advanced past the row that fills the space
-    acc = Echelon(m)
-    acc.feed(stream())
-    assert acc.rank == m
+    rows = [{j: P**j + i for j in range(i, m)} for i in range(m)]
+    assert len(linalg._reduced_echelon(stream(rows), m)) == m
+    # the zero space is full before any row
+    assert linalg._reduced_echelon(stream([]), 0) == {}
 
 
 def test_echelonize_symbolic_relations_match_specialized_oracle():

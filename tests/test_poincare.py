@@ -222,9 +222,3 @@ def test_character_recursion_n2_values_dj2():
     n, lhs, rhs, ok = rep.rows[1]
     assert n == 2 and ok
     assert lhs == rhs
-
-
-def test_character_recursion_report_prints():
-    rep = verify_character_recursion(dj_r_matrix(2), 2)
-    text = str(rep)
-    assert "pass" in text and "n=2" in text

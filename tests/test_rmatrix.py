@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckebialg.exactnum import ONE, P, Q, Scalar, ZERO, q_fact, q_int, rf_eval_at_one
+from heckebialg.exactnum import ONE, P, Q, Scalar, ZERO, rf_eval_at_one
 from heckebialg.linalg import Matrix, echelonize
 from heckebialg.qalg import (
     algebra_by_key,

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from heckebialg.exactnum import ONE, Q, ZERO, Scalar
-from heckebialg.linalg import Echelon, Matrix, commutant, commutant_equations, echelonize, rank
+from heckebialg.linalg import Matrix, commutant, commutant_equations, echelonize, rank
 from heckebialg.qalg import build_e, graded_dimension
 from heckebialg.rmatrix import HeckeOperator, dj_r_matrix, flip_operator, rho_basis, super_flip
 from heckebialg.schur import (
@@ -184,11 +184,6 @@ def test_multiplicities_refuse_specialized_operator():
         multiplicities(op, 2)
 
 
-def test_multiplicity_table_str():
-    t = multiplicities(dj_r_matrix(2), 2)
-    assert "n=2" in str(t)
-
-
 # ---------------------------------------------------------------------------
 # centralizer dimensions
 
@@ -305,31 +300,21 @@ def test_bicommutant_matches_full_commutant_oracle(make, n):
 
 
 def test_bicommutant_builds_no_equations_past_full_rank(monkeypatch):
-    # c1's basis matrices stream into the elimination one at a time; every
-    # matrix whose equations are built finds E_P short of full rank, so none
-    # after the one that reaches it is built, and the verdict stays the oracle's
-    reductions, ranks_seen = [], []
-
-    class Seen(Echelon):
-        def __init__(self, ambient):
-            super().__init__(ambient)
-            reductions.append(self)
+    # c1's basis matrices stream into the elimination one at a time, and
+    # none after the one whose equations reach full rank is built: for
+    # dj:3 at n = 3, 70 of the centralizer's 165, with the oracle's verdict
+    built = []
 
     def counted(mats, size):
         assert len(mats) == 1
-        ranks_seen.append(reductions[-1].rank)
+        built.append(mats[0])
         return commutant_equations(mats, size)
 
-    monkeypatch.setattr("heckebialg.schur.Echelon", Seen)
     monkeypatch.setattr("heckebialg.schur.commutant_equations", counted)
     op = dj_r_matrix(3)
     rep = bicommutant_check(op, 3)
     assert (rep.hecke_span, rep.centralizer, rep.bicommutant, rep.ok) == bicommutant_oracle(op, 3)
-    (reduced,) = reductions
-    assert reduced.rank == reduced.ambient
-    assert all(r < reduced.ambient for r in ranks_seen)
-    # the stream stopped well before c1's basis ran out
-    assert len(ranks_seen) < rep.centralizer
+    assert (len(built), rep.centralizer) == (70, 165)
 
 
 def test_bicommutant_fails_on_a_diagonal_operator():
@@ -337,12 +322,6 @@ def test_bicommutant_fails_on_a_diagonal_operator():
     for n, span, bicommutant in ((2, 2, 4), (3, 5, 8)):
         rep = bicommutant_check(diagonal_operator(), n)
         assert (rep.hecke_span, rep.bicommutant, rep.ok) == (span, bicommutant, False)
-        assert "FAIL" in str(rep)
-
-
-def test_bicommutant_report_str():
-    rep = bicommutant_check(dj_r_matrix(2), 2)
-    assert "pass" in str(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +330,8 @@ def test_bicommutant_report_str():
 
 def test_schur_dimension_check_dj2():
     op = dj_r_matrix(2)
-    e = build_e(op)
     for n, expected in ((2, 10), (3, 20)):
-        rep = schur_dimension_check(op, n, e_algebra=e)
+        rep = schur_dimension_check(op, n)
         assert rep.ok, str(rep)
         assert rep.sum_of_squares == rep.centralizer == rep.e_dimension == expected
 
@@ -362,4 +340,3 @@ def test_schur_dimension_check_superflip():
     rep = schur_dimension_check(super_flip(1, 1), 2)
     assert rep.ok
     assert rep.sum_of_squares == 8
-    assert "pass" in str(rep)
