@@ -101,16 +101,11 @@ def b_sequence(p, max_index):
 
 
 def t_specialize_p_from_operator(op, max_index):
-    """p_k = (trace of the long cycle on k+1 factors) evaluated at q = 1.
-
-    Needs the symbolic operator: once p is pinned to a number the q -> 1
-    limit is gone.  Raises PoleAtOneError when a trace is singular there.
+    """p_k = (trace of the long cycle on k+1 factors) at p = 1, which must be
+    q = 1 (``HeckeOperator.q_tends_to_one``); raises PoleAtOneError when a
+    trace is singular there.
     """
-    if op.specialized_at is not None:
-        raise ValueError(
-            "the q = 1 trace needs the symbolic operator; "
-            f"this one is specialized at p = {op.specialized_at}"
-        )
+    op.require_q_tends_to_one("the q = 1 trace route")
     return [rf_eval_at_one(cycle_trace(op, k)) for k in range(max_index + 1)]
 
 

@@ -127,6 +127,22 @@ class HeckeOperator:
             self._inverse = self.R.inverse()
         return self._inverse
 
+    def q_tends_to_one(self):
+        """Whether q is 1 at p = 1 (false at a pole), so that H_n at p = 1 is
+        the group algebra of S_n and the q = 1 routes (cycle traces and S_n
+        multiplicities evaluated at p = 1) apply.
+        """
+        try:
+            return self.q.evaluate(1) == 1
+        except ZeroDivisionError:
+            return False
+
+    def require_q_tends_to_one(self, what):
+        """Raise ValueError, naming ``what``, unless ``q_tends_to_one``."""
+        if not self.q_tends_to_one():
+            at = "" if self.specialized_at is None else f", specialized at p = {self.specialized_at}"
+            raise ValueError(f"{what} needs q = 1 at p = 1; {self.name} has q = {self.q}{at}")
+
     def specialize(self, p0):
         """The same operator with p evaluated at a rational point.
 

@@ -195,14 +195,11 @@ def multiplicities(op, n):
     """m_lambda = (1/n!) sum_mu |class mu| (chi(T_w_mu))_t chi^lambda(mu).
 
     One trace per cycle type mu, of the word product for its minimal-length
-    representative, evaluated at q = 1; each multiplicity must come out a
+    representative, evaluated at p = 1, which must be q = 1
+    (``HeckeOperator.q_tends_to_one``); each multiplicity must come out a
     nonnegative integer or the operator is not a valid input.
     """
-    if op.specialized_at is not None:
-        raise ValueError(
-            "multiplicities need the symbolic operator; "
-            f"this one is specialized at p = {op.specialized_at}"
-        )
+    op.require_q_tends_to_one("the multiplicity route")
     table = sn_character_table(n)
     traces = {}
     for mu in table.parts:

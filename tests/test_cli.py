@@ -198,6 +198,12 @@ def test_specialized_document_roundtrip(tmp_path):
     jsonschema.validate(doc, file_schema())
     back = operator_from_document(doc)
     assert back.specialized_at == Fraction(3, 2)
+    # the saved name already says where p was pinned: it is not added twice
+    assert back.name == "dj:2@p=3/2"
+    path, out = str(tmp_path / "op.json"), str(tmp_path / "r.json")
+    save_operator(op, path)
+    assert run(["dims", "--file", path, "-a", "S", "-N", "1", "-o", out]) == 0
+    assert read_report(out)["operator"] == "dj:2@p=3/2"
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +453,53 @@ def test_poincare_specialized(tmp_path):
     doc = read_report(out)
     p_rec = [c for c in doc["checks"] if c["name"] == "poincare/p-sequence"][0]
     assert p_rec["routes"] == ["formula"]
+
+
+def numeric_q_file(tmp_path):
+    """dj:2 with every entry at p = 2 and q = 4, in a file that says symbolic-p."""
+    doc = operator_to_document(dj_r_matrix(2).specialize(2))
+    doc.update(name="dj2-q4", parameter="symbolic-p")
+    path = str(tmp_path / "q4.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["schur", "-n", "2"], ["poincare", "-N", "3"], ["report", "-N", "3"]],
+    ids=["schur", "poincare", "report"],
+)
+def test_numeric_q_runs_only_the_routes_of_every_q(args, tmp_path, capsys):
+    # q = 4 stays 4 at p = 1: the q = 1 trace and multiplicity routes do not apply
+    out = str(tmp_path / "r.json")
+    assert run(args + ["--file", numeric_q_file(tmp_path), "-o", out]) == 0
+    assert capsys.readouterr().err == ""
+    checks = {c["name"]: c for c in read_report(out)["checks"]}
+    if "poincare/p-sequence" in checks:
+        assert checks["poincare/p-sequence"]["routes"] == ["formula"]
+        assert checks["poincare/b-dimension"]["ok"]
+    if args[0] != "poincare":
+        assert "schur/dimension-two-routes" in checks
+        assert "schur/dimension-three-routes" not in checks
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["schur", "--builtin", "flip:2", "-n", "3", "--specialize", "p=3/2"],
+        ["report", "--builtin", "dj:2", "-N", "3", "--specialize", "p=1"],
+    ],
+    ids=["flip2@p=3/2", "dj2@p=1"],
+)
+def test_specialized_q_one_keeps_the_q_one_routes(args, tmp_path):
+    out = str(tmp_path / "r.json")
+    assert run(args + ["-o", out]) == 0
+    checks = {c["name"]: c for c in read_report(out)["checks"]}
+    assert checks["schur/dimension-three-routes"]["ok"]
+    assert "schur/dimension-two-routes" not in checks
+    if "poincare/p-sequence" in checks:
+        assert checks["poincare/p-sequence"]["routes"] == ["direct-rank", "formula"]
 
 
 def test_bad_specialization(tmp_path, capsys):

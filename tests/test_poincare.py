@@ -145,6 +145,13 @@ def test_specialized_p_superflip():
     assert got == [Fraction(1 + (-1) ** k) for k in range(5)]
 
 
+def test_specialized_p_refuses_q_away_from_one():
+    # numbers from dj:2 at p = 2, with q = 4 at every p
+    op = HeckeOperator(2, dj_r_matrix(2).specialize(2).R, Scalar(4), "dj2-q4")
+    with pytest.raises(ValueError, match="q = 1 at p = 1"):
+        t_specialize_p_from_operator(op, 2)
+
+
 def test_specialized_p_pole_raises():
     bad = HeckeOperator(1, Matrix(1, 1, [{0: ONE / (P - ONE)}]), P * P, "pole-demo")
     with pytest.raises(PoleAtOneError):

@@ -87,6 +87,30 @@ def test_super_flip_needs_signs_to_pass():
     assert check_hecke(sf) and check_yang_baxter(sf)
 
 
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_builtins_tend_to_q_one(name):
+    assert OPS[name].q_tends_to_one()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: dj_r_matrix(2).specialize(Fraction(3, 2)),
+        # dj:2's numbers at p = 2, with q = 4 at every p
+        lambda: HeckeOperator(2, dj_r_matrix(2).specialize(2).R, Scalar(4), "dj2-q4"),
+        lambda: HeckeOperator(1, Matrix.identity(1), ONE / (P - ONE), "pole-at-one"),
+    ],
+    ids=["dj2@p=3/2", "numeric-q", "pole"],
+)
+def test_other_operators_do_not_tend_to_q_one(make):
+    assert not make().q_tends_to_one()
+
+
+def test_specialized_operators_with_q_one_tend_to_q_one():
+    assert dj_r_matrix(2).specialize(1).q_tends_to_one()
+    assert flip_operator(2).specialize(Fraction(3, 2)).q_tends_to_one()
+
+
 def test_hecke_witness_on_failure():
     bad = flip_operator(2)
     bad.R.data[0][0] = ONE + ONE  # corrupt one entry
