@@ -39,8 +39,8 @@ so the exact operations performed do not depend on the lookups.
 ambient dimension: they span the whole space, whose reduced basis is the
 identity, so no later row can change the result.  Its loop,
 ``_reduced_echelon``, takes any iterable of rows, so a full-rank test
-(the bicommutant check's) can stream its rows in and pays only for those
-it reads before reaching full rank.
+(the bicommutant check's exact route) can stream its rows in and pays
+only for those it reads before reaching full rank.
 
 A dimension needs no basis, and ``rank`` returns only that: it is forward
 elimination, with no back-elimination and no basis built.  Its invariant
@@ -85,6 +85,22 @@ operation.  ``echelonize`` (so ``kernel``, the intersections and
 ``Matrix.inverse``) stays in reduced Scalars: it is fed many small,
 sparse systems, where a fraction-free accumulator measured slower (on 2
 cores the lattice closure of S(dj:2) at n = 6 took 19.7 s against 12.4 s).
+
+A full-rank test needs no exact elimination when it passes at one point.
+Sending p to ``POINT`` and reducing mod the prime ``MODULUS`` = 2^61 - 1
+is a ring homomorphism from the elements of Q(p) with no pole there onto
+Z/MODULUS, and it sends every minor of a matrix to the same minor of the
+matrix's image.  So a minor that is nonzero at the point is nonzero over
+Q(p): the rank at the point is at most the exact rank, and full column
+rank at the point is full column rank.  ``pivots_at_point`` is that
+elimination, in ints mod ``MODULUS`` with the invariants of
+``_reduced_echelon``; it reads rows lazily, stops at a given rank and
+answers None (inconclusive) at a pole.  A rank short of full at the point
+proves nothing, since the rank may drop exactly there, so its callers (the
+double centralizer in ``schur``, the distributing basis in ``qalg``) then
+fall back to their exact eliminations: no verdict rests on the point
+being generic.  ``POINT`` is a constant, so every run gives the same
+reports.
 """
 
 import heapq
@@ -106,8 +122,14 @@ __all__ = [
     "subspace_sum",
     "subspace_intersect",
     "sum_and_intersection",
+    "MODULUS",
+    "POINT",
+    "rows_at_point",
+    "pivots_at_point",
+    "kernel_rows",
     "kernel",
     "commutant_equations",
+    "commutant_basis",
     "commutant",
     "lift_to_position",
     "lift_rows",
@@ -410,6 +432,134 @@ def pivot_columns(rows):
     set is that of any echelon form of the span, the reduced one included.
     """
     return tuple(sorted(forward_eliminate(rows).pivots))
+
+
+# Full rank at one point.  p -> POINT, mod the prime MODULUS, is a ring
+# homomorphism from the Scalars without a pole there onto Z/MODULUS, and it
+# sends every minor of a matrix to the same minor of the matrix's image.
+
+MODULUS = (1 << 61) - 1  # a Mersenne prime
+POINT = 0x5DEECE66D  # far from the small integers where q-integers vanish
+
+
+def _horner(poly, x):
+    acc = 0
+    for c in reversed(poly):
+        acc = (acc * x + c) % MODULUS
+    return acc
+
+
+def _value_at_point(v):
+    """An int, Fraction or Scalar at p = POINT mod MODULUS; -1 at a pole."""
+    if isinstance(v, Scalar):
+        num, den = _horner(v.num, POINT), _horner(v.den, POINT)
+    else:
+        v = Fraction(v)
+        num, den = v.numerator % MODULUS, v.denominator % MODULUS
+    if not den:
+        return -1
+    return num * pow(den, -1, MODULUS) % MODULUS
+
+
+def _row_at_point(raw, cache):
+    """A row at the point, zeros dropped, or None at a pole; ``cache``
+    keeps each non-int entry's value for the rows after it."""
+    vec = {}
+    for j, v in raw.items():
+        if type(v) is int:
+            v %= MODULUS
+        else:
+            x = cache.get(v)
+            if x is None:
+                x = cache[v] = _value_at_point(v)
+            if x < 0:
+                return None
+            v = x
+        if v:
+            vec[j] = v
+    return vec
+
+
+def rows_at_point(rows):
+    """The rows at p = ``POINT`` mod ``MODULUS``, as rows of ints, or None
+    when an entry has a pole there."""
+    cache, out = {}, []
+    for raw in rows:
+        vec = _row_at_point(raw, cache)
+        if vec is None:
+            return None
+        out.append(vec)
+    return out
+
+
+def pivots_at_point(rows, stop=None):
+    """Pivot columns of the rows at p = ``POINT`` mod ``MODULUS``,
+    increasing, or None (inconclusive) when a row read has an entry with a
+    pole there.  Stops reading rows once it holds ``stop`` pivots.
+
+    The rows read, restricted to the columns returned, have a nonzero
+    maximal minor at the point, so that minor is nonzero over Q(p): the
+    exact rank is at least the number returned, and full column rank at
+    the point is full column rank.  A smaller count proves nothing; the
+    rank may drop exactly at the point.
+
+    The loop is ``_reduced_echelon``'s over ints mod ``MODULUS``, with
+    both its invariants (stored rows fully reduced, the ``holders``
+    index), so a row that reduces to zero costs only the pivots it holds
+    on arrival.  Each pivot entry is 1 and left out of its stored row.
+    The rows are read lazily, one at a time, and may hold ints (taken as
+    constants) as well as Scalars and Fractions.
+    """
+    if stop == 0:
+        return ()
+    cache = {}
+    row_of = {}  # pivot column -> its row, the pivot entry left out
+    holders = {}  # non-pivot column -> pivot columns of the rows that may hold it
+    for raw in rows:
+        vec = _row_at_point(raw, cache)
+        if vec is None:
+            return None
+        for p in row_of.keys() & vec.keys():
+            # a stored row holds no other pivot, so the set stays exact
+            f = vec.pop(p)
+            get = vec.get
+            for j, v in row_of[p].items():
+                s = (get(j, 0) - f * v) % MODULUS
+                if s:
+                    vec[j] = s
+                else:
+                    del vec[j]
+        if not vec:
+            continue
+        col = min(vec)
+        lead = vec.pop(col)
+        if lead != 1:
+            inv = pow(lead, -1, MODULUS)
+            for j in vec:
+                vec[j] = vec[j] * inv % MODULUS
+        for j in vec:
+            holders.setdefault(j, []).append(col)
+        for p in holders.pop(col, ()):
+            row = row_of[p]
+            f = row.pop(col, None)
+            if f is None:
+                continue
+            get = row.get
+            for j, v in vec.items():
+                cur = get(j)
+                if cur is None:
+                    row[j] = -f * v % MODULUS
+                    holders[j].append(p)
+                else:
+                    s = (cur - f * v) % MODULUS
+                    if s:
+                        row[j] = s
+                    else:
+                        del row[j]
+        row_of[col] = vec
+        if len(row_of) == stop:
+            break
+    return tuple(sorted(row_of))
 
 
 # Packed Z[p] entries.  A polynomial with coefficients below 2^(k-1) in
@@ -767,22 +917,26 @@ def _split_tagged(tagged, m):
     return Subspace(m, tuple(meet_rows), tuple(meet_pivots)), left
 
 
-def kernel(mat):
-    """Right kernel {x : M x = 0} as a Subspace of k^cols."""
-    ech = echelonize(mat.data, mat.cols)
-    pivot_set = set(ech.pivots)
-    free_cols = [j for j in range(mat.cols) if j not in pivot_set]
+def kernel_rows(rows, cols):
+    """A basis of the right kernel {x : M x = 0} of the matrix with these
+    rows, not reduced: one vector per free column f of the reduced echelon
+    form, 1 at f and minus the echelon rows' entries in column f at their
+    pivots, built in one pass over the echelon rows."""
+    ech = echelonize(rows, cols)
     sample = next((v for r in ech.basis for v in r.values()), None)
     one = ONE if sample is None else sample**0
-    rows = []
-    for f in free_cols:
-        vec = {f: one}
-        for p, row in zip(ech.pivots, ech.basis):
-            v = row.get(f)
-            if v is not None:
-                vec[p] = -v
-        rows.append(vec)
-    return echelonize(rows, mat.cols)
+    pivot_set = set(ech.pivots)
+    vecs = {f: {f: one} for f in range(cols) if f not in pivot_set}
+    for p, row in zip(ech.pivots, ech.basis):
+        for f, v in row.items():
+            if f != p:  # a reduced row holds no other pivot
+                vecs[f][p] = -v
+    return list(vecs.values())
+
+
+def kernel(mat):
+    """Right kernel {x : M x = 0} as a Subspace of k^cols."""
+    return echelonize(kernel_rows(mat.data, mat.cols), mat.cols)
 
 
 def commutant_equations(gens, dim):
@@ -795,10 +949,12 @@ def commutant_equations(gens, dim):
     for g in gens:
         assert g.rows == dim and g.cols == dim
         gt = g.transpose()
+        held = [j for j in range(dim) if gt.data[j]]
         for i in range(dim):
             # row i of -G, negated once for all dim equations that use it
             neg_row = [(a, v, -v) for a, v in g.data[i].items()]
-            for j in range(dim):
+            # an empty row i leaves only the (XG)_ij terms, of G's nonzero columns j
+            for j in range(dim) if neg_row else held:
                 row = {}
                 # (XG)_ij term: X_ib G_bj  -> coefficient at column i*dim+b
                 for b, v in gt.data[j].items():
@@ -815,6 +971,12 @@ def commutant_equations(gens, dim):
                 if row:
                     eq_rows.append(row)
     return eq_rows
+
+
+def commutant_basis(gens, dim):
+    """A basis of the matrices commuting with every generator, vectorized
+    row-major: ``kernel_rows`` of the ``commutant_equations``."""
+    return kernel_rows(commutant_equations(gens, dim), dim * dim)
 
 
 def commutant(gens, dim):

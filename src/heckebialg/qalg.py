@@ -43,6 +43,14 @@ i in I(b).  The certificate is checked exactly, whatever built B:
 * every b reduces to zero modulo each X_i with i in I(b);
 * #{b : i in I(b)} = dim X_i for every i.
 
+The rank is full when it is full at one point mod a prime
+(``linalg.pivots_at_point``: the point sends each minor to its value
+there, so a minor nonzero at the point is nonzero over Q(p)), and only
+when the point falls short is it taken over Q(p); the membership and the
+counts are exact.  B itself is built from pivot columns at the point, and
+when that B fails the check the exact B decides, so a failure never
+rests on the point.
+
 The second and third conditions make the b with i in I(b) dim X_i
 independent vectors of X_i, hence a basis of it.  So X_i = span B_i for
 subsets B_i of the basis B, and since B is independent, span P + span Q =
@@ -77,6 +85,7 @@ from .linalg import (
     copy_state,
     forward_eliminate,
     pivot_columns,
+    pivots_at_point,
     rank,
     row_space,
     subspace_intersect,
@@ -332,11 +341,14 @@ def lattice_distributivity(gens, cap=None, time_budget=None, known=None):
     bitmasks of generators to their meets, where those are already built.
     """
     started = time.monotonic()
-    basis = distributing_basis(gens, time_budget, started, known)
-    if basis is None or _expired(time_budget, started):
-        note = _budget_note(time_budget)
-        return DistributivityReport("inconclusive", note=note, routes=["distributing-basis"])
-    holds = basis.certify()
+    for exact in (False, True):
+        basis = distributing_basis(gens, time_budget, started, known, exact)
+        if basis is None or _expired(time_budget, started):
+            note = _budget_note(time_budget)
+            return DistributivityReport("inconclusive", note=note, routes=["distributing-basis"])
+        holds = basis.certify()
+        if holds:
+            break  # else the point may have lost rank: the exact blocks decide
     counts = {"free": basis.free, "dual": basis.dual}
     if holds and cap is None:
         return DistributivityReport("distributive", routes=["distributing-basis"], **counts)
@@ -391,7 +403,10 @@ class DistributingBasis(namedtuple("DistributingBasis", "gens blocks")):
 
         Checked exactly, whatever built the blocks: as many vectors as the
         ambient dimension and of full rank; every b in B_I reduces to zero
-        modulo each X_i, i in I; and #{b : i in I(b)} = dim X_i.
+        modulo each X_i, i in I; and #{b : i in I(b)} = dim X_i.  Full rank
+        at one point mod a prime (``linalg.pivots_at_point``) is full rank
+        over Q(p); only when the point falls short or hits a pole is the
+        rank taken over Q(p).
         """
         ambient = self.gens[0].ambient
         vectors = [b for block in self.blocks.values() for b in block]
@@ -401,10 +416,11 @@ class DistributingBasis(namedtuple("DistributingBasis", "gens blocks")):
             held = [b for mask, block in self.blocks.items() if mask >> i & 1 for b in block]
             if len(held) != x.dim or not all(x.contains_vector(b) for b in held):
                 return False
-        return rank(vectors) == ambient
+        at_point = pivots_at_point(vectors, ambient)
+        return (at_point is not None and len(at_point) == ambient) or rank(vectors) == ambient
 
 
-def distributing_basis(gens, time_budget=None, started=None, known=None):
+def distributing_basis(gens, time_budget=None, started=None, known=None, exact=False):
     """Blocks B_I built from the meets X_I of the generators X_i.
 
     X_I is the intersection of the X_i, i in I: taken from ``known``, a
@@ -417,11 +433,19 @@ def distributing_basis(gens, time_budget=None, started=None, known=None):
     containing J, so S_I is spanned by the B_J with J strictly containing
     I.  A vector v of X_I is the sum of v[p] x_p over the basis rows x_p
     of X_I and their pivots p, so its entries at those pivots are its
-    coordinates; B_I is the rows x_p off the ``pivot_columns`` of S_I's
+    coordinates; B_I is the rows x_p off the pivot columns of S_I's
     spanning rows in those coordinates, with no echelon form built.  For
     the empty I these are the unit vectors off the pivots of the sum of
     the generators.  Returns None once ``time_budget`` seconds have passed
     since ``started``.
+
+    The pivot columns are taken at one point mod a prime
+    (``linalg.pivots_at_point``), or over Q(p) (``pivot_columns``) where
+    a block's rows have a pole there or when ``exact`` is set.  Any
+    blocks serve, since ``certify`` checks them exactly.  At a point where
+    some S_I loses rank its B_I has too many vectors and ``certify``
+    fails, so a failure is decided only by the exact blocks
+    (``lattice_distributivity``).
     """
     if started is None:
         started = time.monotonic()
@@ -449,7 +473,10 @@ def distributing_basis(gens, time_budget=None, started=None, known=None):
             if sup & mask == mask
             for b in block
         ]
-        taken = set(pivot_columns(coords))
+        taken = None if exact else pivots_at_point(coords)
+        if taken is None:
+            taken = pivot_columns(coords)
+        taken = set(taken)
         blocks[mask] = tuple(x for k, x in enumerate(meet.basis) if k not in taken)
     return DistributingBasis(gens, blocks)
 

@@ -11,7 +11,8 @@ represented Hecke algebra is the commutant of that commutant.  The span
 always lies in the bicommutant, so ``bicommutant_check`` needs only a rank:
 the commutant equations of the centralizer, with the span's pivot columns
 deleted, must have full column rank, and the elimination stops once they
-do.  No basis of the bicommutant is built.
+do.  No basis of the bicommutant is built, and a pass is certified by full
+rank at one point mod a prime, with the exact rank as the fallback.
 """
 
 import math
@@ -23,11 +24,13 @@ from .exactnum import rf_eval_at_one
 from .linalg import (
     Matrix,
     _reduced_echelon,
-    commutant,
+    commutant_basis,
     commutant_equations,
     copy_state,
     echelonize,
     forward_eliminate,
+    pivots_at_point,
+    rows_at_point,
 )
 from .qalg import algebra_by_key, graded_dimension
 from .rmatrix import character, memoised, rho_basis
@@ -294,45 +297,78 @@ def bicommutant_check(op, n):
     c1 is the commutant of the lifted generators T_i and c2 the commutant
     of c1; the span is that of the rho(T_w).  Each rho(T_w) is a product
     of the T_i, which every element of c1 commutes with, so span <= c2.
-    Let P be the span's pivot columns, N = (d^n)^2.  An X in c2 minus the
-    combination of span rows that matches X on P lies in c2 and is zero
-    on P, and a nonzero element of the span is not zero on P, so
+    Let P be a set of columns, N = (d^n)^2, such that the span restricted
+    to P has rank |P|, so that restriction onto k^P is onto.  An X in c2
+    minus an element of the span that matches X on P lies in c2 and is
+    zero on P, so
 
-        c2 = span (+) {X in c2 : X = 0 on P},
+        c2 = span + {X in c2 : X = 0 on P},
 
     whose second summand is the kernel of E_P, the commutant equations of
-    c1 with the columns in P deleted:
+    c1 with the columns in P deleted.  If E_P has full column rank N - |P|
+    that summand is 0: then c2 = span, and restriction is injective on the
+    span as well, so dim span = |P|.  With P the span's pivots, the sum is
+    direct and dim c2 = dim span + (N - |P|) - rank E_P exactly.
 
-        dim c2 = dim span + (N - |P|) - rank E_P.
-
-    The check passes exactly when E_P has full column rank N - |P|, so no
-    basis of c2 is built: the rows of E_P stream into one elimination
-    (``linalg._reduced_echelon``), built from c1's basis matrices one
-    matrix at a time, and the elimination stops when it reaches full rank
-    or the matrices run out.  No matrix after the one that reaches full
-    rank is read.
+    The certificate takes P from the span's pivots at one point mod a
+    prime (``linalg.pivots_at_point``): a maximal minor nonzero at the
+    point is nonzero over Q(p), so the span restricted to P has exact rank
+    |P|.  E_P is built from c1's exact basis (``linalg.commutant_basis``,
+    one kernel vector per free column) evaluated once at the point, and
+    its rows stream into one elimination at the point that stops at full
+    rank; full rank there is full rank over Q(p).  So the check passes
+    with c2 = span and dim span = |P|, all exact, and no matrix after the
+    one that reaches full rank is read.  If the point hits a pole or E_P
+    falls short of full rank there, the exact route runs: P the pivots of
+    the span's reduced echelon form, and E_P's rank over Q(p) from the
+    same stream of exact rows (``linalg._reduced_echelon``).  So every
+    failure comes from the exact route, and every dimension in the report
+    is exact on both routes.
     """
     size = op.d**n
-    gens = [op.lifted(i, n) for i in range(1, n)]
-    c1 = commutant(gens, size)
+    c1 = commutant_basis([op.lifted(i, n) for i in range(1, n)], size)
     images = rho_basis(op, n)
-    span = echelonize([_vec_row(images[w]) for w in sorted(images)], size * size)
-    # E_P's columns: the entries of X off the span's pivots, renumbered
-    off_pivots = sorted(set(range(size * size)) - set(span.pivots))
-    keep = {k: i for i, k in enumerate(off_pivots)}
-    free = len(keep)
+    span_rows = [_vec_row(images[w]) for w in sorted(images)]
+    span = _span_at_point(span_rows, c1, size)
+    if span is not None:
+        bicommutant = span
+    else:
+        exact = echelonize(span_rows, size * size)
+        span = exact.dim
+        free, rows = _restricted_equations(c1, exact.pivots, size)
+        bicommutant = span + free - len(_reduced_echelon(rows, free))
+    return BicommutantReport(
+        hecke_span=span,
+        centralizer=len(c1),
+        bicommutant=bicommutant,
+        ok=bicommutant == span,
+    )
+
+
+def _span_at_point(span_rows, c1, size):
+    """dim span when the point certifies c2 = span, else None."""
+    pivots = pivots_at_point(span_rows)
+    c1 = None if pivots is None else rows_at_point(c1)
+    if c1 is None:
+        return None
+    free, rows = _restricted_equations(c1, pivots, size)
+    reached = pivots_at_point(rows, free)
+    if reached is None or len(reached) < free:
+        return None
+    return len(pivots)
+
+
+def _restricted_equations(c1, pivots, size):
+    """(N - |P|, the rows of E_P): the commutant equations of the elements
+    of c1, one matrix at a time, with the entries of X at the columns P
+    left out."""
+    pivots = set(pivots)
     rows = (
-        {keep[k]: v for k, v in eq.items() if k in keep}
-        for row in c1.basis
+        {k: v for k, v in eq.items() if k not in pivots}
+        for row in c1
         for eq in commutant_equations([_unvec(row, size)], size)
     )
-    bicommutant = span.dim + free - len(_reduced_echelon(rows, free))
-    return BicommutantReport(
-        hecke_span=span.dim,
-        centralizer=c1.dim,
-        bicommutant=bicommutant,
-        ok=bicommutant == span.dim,
-    )
+    return size * size - len(pivots), rows
 
 
 # ---------------------------------------------------------------------------

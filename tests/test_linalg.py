@@ -22,11 +22,14 @@ from heckebialg.linalg import (
     echelonize,
     forward_eliminate,
     kernel,
+    kernel_rows,
     lift_rows,
     lift_to_position,
     pivot_columns,
+    pivots_at_point,
     rank,
     row_space,
+    rows_at_point,
     specialize_matrix,
     specialize_rows,
     subspace_intersect,
@@ -511,6 +514,55 @@ def test_pivot_columns_match_echelonize(case):
     # the pivots of the forward elimination are those of the reduced echelon form
     rows, ambient = case
     assert pivot_columns(rows) == echelonize(rows, ambient).pivots
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_lists(), st.integers(1, 8))
+@example(([{0: ONE / (P + 1), 1: P}, {0: ONE, 1: P * P + P}, {1: ONE / (P - 1)}], 2), 2)
+def test_pivots_at_the_point_match_pivot_columns(case, stop):
+    # the point is no root of these small entries: the same pivots; with a
+    # stop, that many pivots from the shortest prefix of rows that has them
+    rows, _ = case
+    assert pivots_at_point(rows) == pivot_columns(rows)
+    read = []
+
+    def stream():
+        for row in rows:
+            read.append(row)
+            yield row
+
+    found = pivots_at_point(stream(), stop)
+    assert len(found) == min(stop, rank(rows))
+    assert rank(read) == len(found)
+    assert len(read) == len(rows) or rank(read[:-1]) < stop
+
+
+def test_pivots_at_the_point_prove_only_what_they_see():
+    a = linalg.POINT
+    # det [[p, 1], [a, 1]] = p - a: rank 2 over Q(p), 1 at p = a, so no full rank
+    rows = [{0: P, 1: ONE}, {0: Scalar(a), 1: ONE}]
+    assert rank(rows) == 2
+    assert pivots_at_point(rows, 2) == (0,)
+    # a pole at the point is inconclusive, for a Scalar or a Fraction entry,
+    # but not in a row the elimination stops before
+    pole = [{0: ONE}, {1: ONE / (P - a)}]
+    assert pivots_at_point(pole) is None
+    assert pivots_at_point([{0: Fraction(1, linalg.MODULUS)}]) is None
+    assert pivots_at_point(iter(pole), 1) == (0,)
+    assert rows_at_point(pole) is None
+    assert rows_at_point([{0: P, 1: Fraction(-1, 2), 2: 5}]) == [{0: a, 1: (linalg.MODULUS - 1) // 2, 2: 5}]
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_lists())
+def test_kernel_rows_are_a_basis_of_the_kernel(case):
+    rows, ambient = case
+    vecs = kernel_rows(rows, ambient)
+    assert len(vecs) == ambient - rank(rows) == rank(vecs)
+    for vec in vecs:
+        for row in rows:
+            assert not sum((v * vec[j] for j, v in row.items() if j in vec), 0 * ONE)
+    assert echelonize(vecs, ambient) == kernel(Matrix(len(rows), ambient, rows))
 
 
 @settings(max_examples=100, deadline=None)

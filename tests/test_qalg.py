@@ -8,7 +8,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from heckebialg.exactnum import ONE, P, ZERO, Scalar
-from heckebialg.linalg import Matrix, echelonize, lift_rows, rank, row_space, subspace_intersect, subspace_sum
+from heckebialg import linalg
+from heckebialg.linalg import (
+    Matrix,
+    echelonize,
+    lift_rows,
+    pivots_at_point,
+    rank,
+    row_space,
+    subspace_intersect,
+    subspace_sum,
+)
 from heckebialg.qalg import (
     DistributingBasis,
     QuadraticAlgebra,
@@ -560,6 +570,74 @@ def test_certify_needs_membership_and_counts():
     assert not DistributingBasis([x, y], {**good, 0b01: ({0: ONE, 1: ONE},)}).certify()
     # too few vectors tagged for y, the missing one left free
     assert not DistributingBasis([x, y], {**good, 0b10: (), 0: ({1: ONE},)}).certify()
+
+
+FALLBACK_CASES = [
+    ("E-dj2-n3", lambda: build_e(dj_r_matrix(2)), 3),
+    ("Lambda-dj2-n4", lambda: build_lambda(dj_r_matrix(2)), 4),
+    ("S-dj3-n3", lambda: build_s(dj_r_matrix(3)), 3),
+    ("toy-n4", lambda: QuadraticAlgebra(2, echelonize([{1: ONE}, {2: ONE, 3: ONE}], 4), "toy"), 4),
+]
+
+
+def exact_ranks(monkeypatch):
+    """The list of ambients each exact full-rank test of ``certify`` appends to."""
+    ranked = []
+
+    def counted(rows):
+        ranked.append(len(rows))
+        return rank(rows)
+
+    monkeypatch.setattr("heckebialg.qalg.rank", counted)
+    return ranked
+
+
+def exact_distributivity(make, n, monkeypatch):
+    """The report of the exact route: no pivots or ranks taken at the point."""
+    with monkeypatch.context() as m:
+        m.setattr("heckebialg.qalg.pivots_at_point", lambda rows, stop=None: None)
+        return distributivity_check(make(), n)
+
+
+@pytest.mark.parametrize("name, make, n", FALLBACK_CASES, ids=[c[0] for c in FALLBACK_CASES])
+def test_distributivity_after_a_rank_drop_at_the_point_is_the_exact_one(monkeypatch, name, make, n):
+    # every pivot set found at the point loses its last column: the blocks
+    # overflow and the full-rank test falls short, so only the exact blocks
+    # and the exact rank can decide
+    expected = exact_distributivity(make, n, monkeypatch)
+    ranked = exact_ranks(monkeypatch)
+
+    def drop(rows, stop=None):
+        found = pivots_at_point(rows, stop)
+        return found[:-1] if found else found
+
+    monkeypatch.setattr("heckebialg.qalg.pivots_at_point", drop)
+    assert distributivity_check(make(), n) == expected
+    assert ranked == ([make().generators ** n] if expected.status == "distributive" else [])
+
+
+@pytest.mark.parametrize("name, make, n", FALLBACK_CASES[:2], ids=[c[0] for c in FALLBACK_CASES[:2]])
+def test_distributivity_at_a_pole_falls_back_to_the_exact_route(monkeypatch, name, make, n):
+    # the relations of E(dj:2) and Lambda(dj:2) have entries with
+    # denominator p, so p = 0 is a pole
+    expected = exact_distributivity(make, n, monkeypatch)
+    ranked = exact_ranks(monkeypatch)
+    monkeypatch.setattr(linalg, "POINT", 0)
+    assert distributivity_check(make(), n) == expected
+    assert ranked == [make().generators ** n]
+
+
+def test_a_failed_basis_is_decided_by_the_exact_blocks(monkeypatch):
+    built = []
+
+    def recorded(*args):
+        built.append(args[-1])
+        return distributing_basis(*args)
+
+    monkeypatch.setattr("heckebialg.qalg.distributing_basis", recorded)
+    algebra = QuadraticAlgebra(2, echelonize([{1: ONE}, {2: ONE, 3: ONE}], 4), "toy")
+    assert distributivity_check(algebra, 4).status == "non_distributive"
+    assert built == [False, True]
 
 
 def test_time_budget_bounds_the_basis():

@@ -6,7 +6,16 @@ from fractions import Fraction
 import pytest
 
 from heckebialg.exactnum import ONE, Q, ZERO, Scalar
-from heckebialg.linalg import Matrix, commutant, commutant_equations, echelonize, rank
+from heckebialg import linalg
+from heckebialg.linalg import (
+    Matrix,
+    _reduced_echelon,
+    commutant,
+    commutant_equations,
+    echelonize,
+    pivots_at_point,
+    rank,
+)
 from heckebialg.qalg import build_e, graded_dimension
 from heckebialg.rmatrix import HeckeOperator, dj_r_matrix, flip_operator, rho_basis, super_flip
 from heckebialg.schur import (
@@ -302,7 +311,8 @@ def test_bicommutant_matches_full_commutant_oracle(make, n):
 def test_bicommutant_builds_no_equations_past_full_rank(monkeypatch):
     # c1's basis matrices stream into the elimination one at a time, and
     # none after the one whose equations reach full rank is built: for
-    # dj:3 at n = 3, 70 of the centralizer's 165, with the oracle's verdict
+    # dj:3 at n = 3, 80 of the centralizer's 165 (one kernel vector per
+    # free column, in column order), with the oracle's verdict
     built = []
 
     def counted(mats, size):
@@ -314,14 +324,68 @@ def test_bicommutant_builds_no_equations_past_full_rank(monkeypatch):
     op = dj_r_matrix(3)
     rep = bicommutant_check(op, 3)
     assert (rep.hecke_span, rep.centralizer, rep.bicommutant, rep.ok) == bicommutant_oracle(op, 3)
-    assert (len(built), rep.centralizer) == (70, 165)
+    assert (len(built), rep.centralizer) == (80, 165)
 
 
-def test_bicommutant_fails_on_a_diagonal_operator():
-    # the bicommutant holds every diagonal matrix, the span does not: the check must fail
+def exact_streams(monkeypatch):
+    """The list the exact route's eliminations append their ambients to."""
+    streamed = []
+
+    def counted(rows, ambient):
+        streamed.append(ambient)
+        return _reduced_echelon(rows, ambient)
+
+    monkeypatch.setattr("heckebialg.schur._reduced_echelon", counted)
+    return streamed
+
+
+def test_bicommutant_fails_on_a_diagonal_operator(monkeypatch):
+    # the bicommutant holds every diagonal matrix, the span does not: the
+    # check must fail, and the failure comes from the exact elimination
+    streamed = exact_streams(monkeypatch)
     for n, span, bicommutant in ((2, 2, 4), (3, 5, 8)):
         rep = bicommutant_check(diagonal_operator(), n)
         assert (rep.hecke_span, rep.bicommutant, rep.ok) == (span, bicommutant, False)
+    assert streamed == [2**4 - 2, 2**6 - 5]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bicommutant_certified_at_the_point_needs_no_exact_stream(monkeypatch, n):
+    streamed = exact_streams(monkeypatch)
+    op = dj_r_matrix(2)
+    rep = bicommutant_check(op, n)
+    assert (rep.hecke_span, rep.centralizer, rep.bicommutant, rep.ok) == bicommutant_oracle(op, n)
+    assert streamed == []
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bicommutant_at_a_pole_falls_back_to_the_exact_route(monkeypatch, n):
+    # c1 of dj:2 has entries with denominator p, so p = 0 is a pole
+    streamed = exact_streams(monkeypatch)
+    monkeypatch.setattr(linalg, "POINT", 0)
+    op = dj_r_matrix(2)
+    rep = bicommutant_check(op, n)
+    assert (rep.hecke_span, rep.centralizer, rep.bicommutant, rep.ok) == bicommutant_oracle(op, n)
+    assert len(streamed) == 1
+
+
+@pytest.mark.parametrize("at_stop", [False, True], ids=["span", "E_P"])
+@pytest.mark.parametrize("make, n", [(lambda: dj_r_matrix(2), 3), (lambda: dj_r_matrix(3), 3), (diagonal_operator, 3)])
+def test_bicommutant_after_a_rank_drop_at_the_point_is_the_exact_one(monkeypatch, make, n, at_stop):
+    # the point drops one pivot, of the span or of E_P: the span's pivots
+    # then miss a column and E_P falls short, or E_P does; either way the
+    # exact route decides, and with the same record
+    streamed = exact_streams(monkeypatch)
+
+    def drop(rows, stop=None):
+        found = pivots_at_point(rows, stop)
+        return found[:-1] if found and (stop is not None) == at_stop else found
+
+    monkeypatch.setattr("heckebialg.schur.pivots_at_point", drop)
+    op = make()
+    rep = bicommutant_check(op, n)
+    assert (rep.hecke_span, rep.centralizer, rep.bicommutant, rep.ok) == bicommutant_oracle(op, n)
+    assert len(streamed) == 1
 
 
 # ---------------------------------------------------------------------------
