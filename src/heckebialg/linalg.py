@@ -37,10 +37,7 @@ Both visit their rows in ascending pivot order, the order of a full scan,
 so the exact operations performed do not depend on the lookups.
 ``echelonize`` also stops reading rows once it holds as many as the
 ambient dimension: they span the whole space, whose reduced basis is the
-identity, so no later row can change the result.  Its loop,
-``_reduced_echelon``, takes any iterable of rows, so a full-rank test
-(the bicommutant check's exact route) can stream its rows in and pays
-only for those it reads before reaching full rank.
+identity, so no later row can change the result.
 
 A dimension needs no basis, and ``rank`` returns only that: it is forward
 elimination, with no back-elimination and no basis built.  Its invariant
@@ -81,7 +78,7 @@ per entry at the end.  The reduced echelon form is unique and Scalars are
 canonical, so it returns exactly what ``echelonize`` does.  It serves the
 one-shot images of operator matrices, the relation spaces of S, Lambda
 and E, whose dense rows make the Scalar back-elimination cost a gcd per
-operation.  ``echelonize`` (so ``kernel``, the intersections and
+operation.  ``echelonize`` (so ``kernel_rows``, the intersections and
 ``Matrix.inverse``) stays in reduced Scalars: it is fed many small,
 sparse systems, where a fraction-free accumulator measured slower (on 2
 cores the lattice closure of S(dj:2) at n = 6 took 19.7 s against 12.4 s).
@@ -94,7 +91,7 @@ matrix's image.  So a minor that is nonzero at the point is nonzero over
 Q(p): the rank at the point is at most the exact rank, and full column
 rank at the point is full column rank.  ``pivots_at_point`` is that
 elimination, in ints mod ``MODULUS`` with the invariants of
-``_reduced_echelon``; it reads rows lazily, stops at a given rank and
+``echelonize``; it reads rows lazily, stops at a given rank and
 answers None (inconclusive) at a pole.  A rank short of full at the point
 proves nothing, since the rank may drop exactly there, so its callers (the
 double centralizer in ``schur``, the distributing basis in ``qalg``) then
@@ -127,13 +124,10 @@ __all__ = [
     "rows_at_point",
     "pivots_at_point",
     "kernel_rows",
-    "kernel",
     "commutant_equations",
-    "commutant_basis",
     "commutant",
     "lift_to_position",
     "lift_rows",
-    "specialize_scalar",
     "specialize_matrix",
     "specialize_rows",
 ]
@@ -150,10 +144,6 @@ class Matrix:
         if data is None:
             data = [dict() for _ in range(rows)]
         self.data = data
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls(rows, cols)
 
     @classmethod
     def identity(cls, n, one=ONE):
@@ -212,7 +202,7 @@ class Matrix:
 
     def scale(self, c):
         if not c:
-            return Matrix.zeros(self.rows, self.cols)
+            return Matrix(self.rows, self.cols)
         return Matrix(
             self.rows, self.cols, [{j: v * c for j, v in r.items()} for r in self.data]
         )
@@ -328,9 +318,6 @@ class Subspace:
         # cheap structural hash; equality does the fine screening
         return hash((self.ambient, self.pivots))
 
-    def __le__(self, other):
-        return self.is_subspace_of(other)
-
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
@@ -354,20 +341,10 @@ class Subspace:
             return False
         return all(other.contains_vector(row) for row in self.basis)
 
-    def matrix(self):
-        return Matrix(self.dim, self.ambient, [dict(r) for r in self.basis])
-
 
 def echelonize(rows, ambient):
-    """Reduced row echelon Subspace spanned by the given sparse rows."""
-    row_of = _reduced_echelon(rows, ambient)
-    pivots = tuple(sorted(row_of))
-    return Subspace(ambient, tuple(row_of[p] for p in pivots), pivots)
-
-
-def _reduced_echelon(rows, ambient):
-    """The reduced row echelon form of the rows, as pivot column -> row,
-    each pivot entry an exact one.
+    """Reduced row echelon Subspace spanned by the given sparse rows, each
+    pivot entry an exact one.
 
     Two invariants keep the cost with the nonzeros touched:
 
@@ -387,7 +364,7 @@ def _reduced_echelon(rows, ambient):
     row_of = {}  # pivot column -> its row
     holders = {}  # non-pivot column -> pivot columns of the rows that may hold it
     if not ambient:
-        return row_of  # the zero space: no row can add to it
+        return Subspace(0, (), ())  # the zero space: no row can add to it
     for raw in rows:
         vec = {j: v for j, v in raw.items() if v}
         for p in sorted(row_of.keys() & vec.keys()):
@@ -416,7 +393,8 @@ def _reduced_echelon(rows, ambient):
         row_of[col] = vec
         if len(row_of) == ambient:
             break  # the whole space: every later row lies in it
-    return row_of
+    pivots = tuple(sorted(row_of))
+    return Subspace(ambient, tuple(row_of[p] for p in pivots), pivots)
 
 
 def rank(rows):
@@ -503,7 +481,7 @@ def pivots_at_point(rows, stop=None):
     the point is full column rank.  A smaller count proves nothing; the
     rank may drop exactly at the point.
 
-    The loop is ``_reduced_echelon``'s over ints mod ``MODULUS``, with
+    The loop is ``echelonize``'s over ints mod ``MODULUS``, with
     both its invariants (stored rows fully reduced, the ``holders``
     index), so a row that reduces to zero costs only the pivots it holds
     on arrival.  Each pivot entry is 1 and left out of its stored row.
@@ -934,11 +912,6 @@ def kernel_rows(rows, cols):
     return list(vecs.values())
 
 
-def kernel(mat):
-    """Right kernel {x : M x = 0} as a Subspace of k^cols."""
-    return echelonize(kernel_rows(mat.data, mat.cols), mat.cols)
-
-
 def commutant_equations(gens, dim):
     """Rows of the linear system X G - G X = 0, X vectorized row-major.
 
@@ -973,12 +946,6 @@ def commutant_equations(gens, dim):
     return eq_rows
 
 
-def commutant_basis(gens, dim):
-    """A basis of the matrices commuting with every generator, vectorized
-    row-major: ``kernel_rows`` of the ``commutant_equations``."""
-    return kernel_rows(commutant_equations(gens, dim), dim * dim)
-
-
 def commutant(gens, dim):
     """Matrices commuting with every generator, vectorized row-major.
 
@@ -986,8 +953,7 @@ def commutant(gens, dim):
     k^(dim*dim); the commutant algebra dimension is its dim, which
     ``dim**2 - rank(commutant_equations(gens, dim))`` gives without a basis.
     """
-    eq_rows = commutant_equations(gens, dim)
-    return kernel(Matrix(len(eq_rows), dim * dim, eq_rows))
+    return echelonize(kernel_rows(commutant_equations(gens, dim), dim * dim), dim * dim)
 
 
 def lift_to_position(mat, i, n, d):
@@ -1032,14 +998,12 @@ def lift_rows(basis_rows, i, n, d):
 # ``--specialize`` option); the lattice and dimension checks stay symbolic
 
 
-def specialize_scalar(value, x):
-    if isinstance(value, Scalar):
-        return value.evaluate(x)
-    return Fraction(value)
-
-
 def specialize_rows(rows, x):
-    return [{j: specialize_scalar(v, x) for j, v in r.items()} for r in rows]
+    """The rows at p = x, as Fractions."""
+    return [
+        {j: v.evaluate(x) if isinstance(v, Scalar) else Fraction(v) for j, v in r.items()}
+        for r in rows
+    ]
 
 
 def specialize_matrix(mat, x):

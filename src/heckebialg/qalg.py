@@ -47,9 +47,20 @@ The rank is full when it is full at one point mod a prime
 (``linalg.pivots_at_point``: the point sends each minor to its value
 there, so a minor nonzero at the point is nonzero over Q(p)), and only
 when the point falls short is it taken over Q(p); the membership and the
-counts are exact.  B itself is built from pivot columns at the point, and
-when that B fails the check the exact B decides, so a failure never
-rests on the point.
+counts are exact.
+
+B itself is built block by block, each block's pivot columns taken at the
+point and, for that block alone, over Q(p) (``linalg.pivot_columns``)
+when the point hits a pole or shows its rows dependent.  So every block
+B_I is an exact complement in X_I of S_I, the sum of the X_J just above
+I: rows independent at the point are independent over Q(p), and
+otherwise the pivots are the exact ones.  By induction from the top
+subset down, the B_K with K containing I span X_I, so |B_I| = dim X_I -
+dim S_I, whatever complements were chosen.  The counts ``free`` and
+``dual`` and the verdict of ``certify`` are then those of the all-exact
+basis, and a failure never rests on the point.  On a distributive
+lattice the rows of each block are independent, so a passing check
+takes no exact pivots.
 
 The second and third conditions make the b with i in I(b) dim X_i
 independent vectors of X_i, hence a basis of it.  So X_i = span B_i for
@@ -340,25 +351,19 @@ def lattice_distributivity(gens, cap=None, time_budget=None, known=None):
     status ``inconclusive`` and ``note`` names its limit.  ``known`` maps
     bitmasks of generators to their meets, where those are already built.
     """
-    started = time.monotonic()
-    for exact in (False, True):
-        basis = distributing_basis(gens, time_budget, started, known, exact)
-        if basis is None or _expired(time_budget, started):
-            note = _budget_note(time_budget)
-            return DistributivityReport("inconclusive", note=note, routes=["distributing-basis"])
-        holds = basis.certify()
-        if holds:
-            break  # else the point may have lost rank: the exact blocks decide
+    deadline = None if time_budget is None else time.monotonic() + time_budget
+    out_of_time = f"time budget of {time_budget} s exhausted"
+    basis = distributing_basis(gens, known, deadline)
+    if basis is None or _expired(deadline):
+        return DistributivityReport("inconclusive", note=out_of_time, routes=["distributing-basis"])
+    holds = basis.certify()
     counts = {"free": basis.free, "dual": basis.dual}
     if holds and cap is None:
         return DistributivityReport("distributive", routes=["distributing-basis"], **counts)
-    closure = subspace_lattice_distributivity(
-        gens,
-        cap=200 if cap is None else cap,
-        time_budget=time_budget,
-        started=started,
-    )
+    closure = subspace_lattice_distributivity(gens, cap=200 if cap is None else cap, deadline=deadline)
     report = closure._replace(routes=["distributing-basis", "closure"], **counts)
+    if closure.note == _EXPIRED:
+        report = report._replace(note=out_of_time)
     if closure.status == "distributive" and not holds:
         report = report._replace(
             status="inconclusive", note="the closure is distributive but the distributing basis fails"
@@ -366,12 +371,12 @@ def lattice_distributivity(gens, cap=None, time_budget=None, known=None):
     return report
 
 
-def _expired(time_budget, started):
-    return time_budget is not None and time.monotonic() - started > time_budget
+_EXPIRED = "time budget exhausted"  # the closure's note: it sees only the deadline
 
 
-def _budget_note(time_budget):
-    return f"time budget of {time_budget} s exhausted"
+def _expired(deadline):
+    """True once the ``time.monotonic`` reading ``deadline`` has passed."""
+    return deadline is not None and time.monotonic() > deadline
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +425,7 @@ class DistributingBasis(namedtuple("DistributingBasis", "gens blocks")):
         return (at_point is not None and len(at_point) == ambient) or rank(vectors) == ambient
 
 
-def distributing_basis(gens, time_budget=None, started=None, known=None, exact=False):
+def distributing_basis(gens, known=None, deadline=None):
     """Blocks B_I built from the meets X_I of the generators X_i.
 
     X_I is the intersection of the X_i, i in I: taken from ``known``, a
@@ -436,19 +441,16 @@ def distributing_basis(gens, time_budget=None, started=None, known=None, exact=F
     coordinates; B_I is the rows x_p off the pivot columns of S_I's
     spanning rows in those coordinates, with no echelon form built.  For
     the empty I these are the unit vectors off the pivots of the sum of
-    the generators.  Returns None once ``time_budget`` seconds have passed
-    since ``started``.
+    the generators.  Returns None once the ``time.monotonic`` reading
+    ``deadline`` has passed.
 
     The pivot columns are taken at one point mod a prime
-    (``linalg.pivots_at_point``), or over Q(p) (``pivot_columns``) where
-    a block's rows have a pole there or when ``exact`` is set.  Any
-    blocks serve, since ``certify`` checks them exactly.  At a point where
-    some S_I loses rank its B_I has too many vectors and ``certify``
-    fails, so a failure is decided only by the exact blocks
-    (``lattice_distributivity``).
+    (``linalg.pivots_at_point``).  Rows independent there are independent
+    over Q(p), so their pivots serve; where the point hits a pole or finds
+    fewer pivots than rows, that block's pivots are taken over Q(p)
+    (``pivot_columns``).  Every block is then an exact complement, so the
+    blocks and their counts are as good as the all-exact ones.
     """
-    if started is None:
-        started = time.monotonic()
     ambient = gens[0].ambient
     full = (1 << len(gens)) - 1
     meets = {1 << i: x for i, x in enumerate(gens)}
@@ -457,13 +459,13 @@ def distributing_basis(gens, time_budget=None, started=None, known=None, exact=F
         if mask not in meets:
             top = 1 << (mask.bit_length() - 1)
             meets[mask] = subspace_intersect(meets[mask ^ top], meets[top])
-            if _expired(time_budget, started):
+            if _expired(deadline):
                 return None
     one = next((v for x in gens for row in x.basis for v in row.values()), ONE) ** 0
     meets[0] = Subspace(ambient, tuple({j: one} for j in range(ambient)), tuple(range(ambient)))
     blocks = {}
     for mask in range(full, -1, -1):  # every superset of mask comes first
-        if _expired(time_budget, started):
+        if _expired(deadline):
             return None
         meet = meets[mask]
         index = {p: k for k, p in enumerate(meet.pivots)}
@@ -473,8 +475,8 @@ def distributing_basis(gens, time_budget=None, started=None, known=None, exact=F
             if sup & mask == mask
             for b in block
         ]
-        taken = None if exact else pivots_at_point(coords)
-        if taken is None:
+        taken = pivots_at_point(coords)
+        if taken is None or len(taken) < len(coords):
             taken = pivot_columns(coords)
         taken = set(taken)
         blocks[mask] = tuple(x for k, x in enumerate(meet.basis) if k not in taken)
@@ -540,17 +542,15 @@ class _Lattice:
         return table[(i, j) if i <= j else (j, i)]
 
 
-def subspace_lattice_distributivity(gens, cap=200, time_budget=None, started=None):
+def subspace_lattice_distributivity(gens, cap=200, deadline=None):
     """Decide distributivity by closing the lattice under sum and meet.
 
     The status is ``distributive``, ``non_distributive`` (with a witness
     triple and both sides), or ``inconclusive`` when the closure exceeds
-    ``cap`` subspaces or ``time_budget`` seconds pass after ``started``.
-    A closure round that does not close the lattice adds a member, so the
-    cap also bounds the number of rounds.
+    ``cap`` subspaces or the ``time.monotonic`` reading ``deadline``
+    passes.  A closure round that does not close the lattice adds a
+    member, so the cap also bounds the number of rounds.
     """
-    if started is None:
-        started = time.monotonic()
     lat = _Lattice()
     for g in gens:
         lat.add(g)
@@ -574,8 +574,8 @@ def subspace_lattice_distributivity(gens, cap=200, time_budget=None, started=Non
             break
         for i, j in pending:
             lat.resolve_pair(i, j)
-            if _expired(time_budget, started):
-                return report("inconclusive", _budget_note(time_budget))
+            if _expired(deadline):
+                return report("inconclusive", _EXPIRED)
 
     # closure complete: distributivity is now pure table lookup
     size = len(lat.members)

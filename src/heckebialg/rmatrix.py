@@ -314,7 +314,7 @@ def rho(op, n, x):
         return out
     assert isinstance(x, HeckeElement) and x.n == n
     images = rho_basis(op, n)
-    out = Matrix.zeros(op.d**n, op.d**n)
+    out = Matrix(op.d**n, op.d**n)
     for w, c in x.terms.items():
         out = out + images[w].scale(c)
     return out

@@ -12,7 +12,9 @@ always lies in the bicommutant, so ``bicommutant_check`` needs only a rank:
 the commutant equations of the centralizer, with the span's pivot columns
 deleted, must have full column rank, and the elimination stops once they
 do.  No basis of the bicommutant is built, and a pass is certified by full
-rank at one point mod a prime, with the exact rank as the fallback.
+rank at one point mod a prime.  Where the point hits a pole or falls
+short, the exact route decides on the dimension engines of ``linalg``:
+the span's pivots from ``pivot_columns`` and the equations' ``rank``.
 """
 
 import math
@@ -23,13 +25,13 @@ from functools import lru_cache
 from .exactnum import rf_eval_at_one
 from .linalg import (
     Matrix,
-    _reduced_echelon,
-    commutant_basis,
     commutant_equations,
     copy_state,
-    echelonize,
     forward_eliminate,
+    kernel_rows,
+    pivot_columns,
     pivots_at_point,
+    rank,
     rows_at_point,
 )
 from .qalg import algebra_by_key, graded_dimension
@@ -313,49 +315,33 @@ def bicommutant_check(op, n):
     The certificate takes P from the span's pivots at one point mod a
     prime (``linalg.pivots_at_point``): a maximal minor nonzero at the
     point is nonzero over Q(p), so the span restricted to P has exact rank
-    |P|.  E_P is built from c1's exact basis (``linalg.commutant_basis``,
-    one kernel vector per free column) evaluated once at the point, and
-    its rows stream into one elimination at the point that stops at full
-    rank; full rank there is full rank over Q(p).  So the check passes
-    with c2 = span and dim span = |P|, all exact, and no matrix after the
-    one that reaches full rank is read.  If the point hits a pole or E_P
-    falls short of full rank there, the exact route runs: P the pivots of
-    the span's reduced echelon form, and E_P's rank over Q(p) from the
-    same stream of exact rows (``linalg._reduced_echelon``).  So every
-    failure comes from the exact route, and every dimension in the report
-    is exact on both routes.
+    |P|.  E_P is built from c1's exact basis (``linalg.kernel_rows`` of
+    the commutant equations, one kernel vector per free column) evaluated
+    once at the point, and its rows stream into one elimination at the
+    point that stops at full rank; full rank there is full rank over
+    Q(p).  So the check passes with c2 = span and dim span = |P|, all
+    exact, and no matrix after the one that reaches full rank is read.  If
+    the point hits a pole or falls short of full rank, the exact route
+    runs: P the span's exact pivots (``linalg.pivot_columns``) and E_P's
+    rank over Q(p) (``linalg.rank``).  So every failure comes from the
+    exact route, and every dimension in the report is exact on both
+    routes.
     """
     size = op.d**n
-    c1 = commutant_basis([op.lifted(i, n) for i in range(1, n)], size)
+    c1 = kernel_rows(commutant_equations([op.lifted(i, n) for i in range(1, n)], size), size * size)
     images = rho_basis(op, n)
     span_rows = [_vec_row(images[w]) for w in sorted(images)]
-    span = _span_at_point(span_rows, c1, size)
-    if span is not None:
-        bicommutant = span
-    else:
-        exact = echelonize(span_rows, size * size)
-        span = exact.dim
-        free, rows = _restricted_equations(c1, exact.pivots, size)
-        bicommutant = span + free - len(_reduced_echelon(rows, free))
-    return BicommutantReport(
-        hecke_span=span,
-        centralizer=len(c1),
-        bicommutant=bicommutant,
-        ok=bicommutant == span,
-    )
-
-
-def _span_at_point(span_rows, c1, size):
-    """dim span when the point certifies c2 = span, else None."""
     pivots = pivots_at_point(span_rows)
-    c1 = None if pivots is None else rows_at_point(c1)
-    if c1 is None:
-        return None
+    at_point = None if pivots is None else rows_at_point(c1)
+    if at_point is not None:
+        free, rows = _restricted_equations(at_point, pivots, size)
+        reached = pivots_at_point(rows, free)
+        if reached is not None and len(reached) == free:
+            return BicommutantReport(len(pivots), len(c1), len(pivots), True)
+    pivots = pivot_columns(span_rows)
     free, rows = _restricted_equations(c1, pivots, size)
-    reached = pivots_at_point(rows, free)
-    if reached is None or len(reached) < free:
-        return None
-    return len(pivots)
+    bicommutant = len(pivots) + free - rank(rows)
+    return BicommutantReport(len(pivots), len(c1), bicommutant, bicommutant == len(pivots))
 
 
 def _restricted_equations(c1, pivots, size):

@@ -13,6 +13,7 @@ from heckebialg.linalg import (
     Matrix,
     echelonize,
     lift_rows,
+    pivot_columns,
     pivots_at_point,
     rank,
     row_space,
@@ -627,17 +628,63 @@ def test_distributivity_at_a_pole_falls_back_to_the_exact_route(monkeypatch, nam
     assert ranked == [make().generators ** n]
 
 
+def block_pivots(monkeypatch, at_point):
+    """(the blocks ``at_point`` shows dependent, the blocks given exact pivots):
+    ``at_point`` stands in for ``pivots_at_point`` in the blocks of the
+    distributing basis, and ``certify``'s full-rank test stays as it is."""
+    dependent, exact = [], []
+
+    def blocks_at_point(rows, stop=None):
+        if stop is not None:
+            return pivots_at_point(rows, stop)
+        found = at_point(rows)
+        if found is None or len(found) < len(rows):
+            dependent.append(rows)
+        return found
+
+    def exact_pivots(rows):
+        exact.append(rows)
+        return pivot_columns(rows)
+
+    monkeypatch.setattr("heckebialg.qalg.pivots_at_point", blocks_at_point)
+    monkeypatch.setattr("heckebialg.qalg.pivot_columns", exact_pivots)
+    return dependent, exact
+
+
 def test_a_failed_basis_is_decided_by_the_exact_blocks(monkeypatch):
     built = []
 
     def recorded(*args):
-        built.append(args[-1])
+        built.append(args)
         return distributing_basis(*args)
 
     monkeypatch.setattr("heckebialg.qalg.distributing_basis", recorded)
+    dependent, exact = block_pivots(monkeypatch, pivots_at_point)
     algebra = QuadraticAlgebra(2, echelonize([{1: ONE}, {2: ONE, 3: ONE}], 4), "toy")
-    assert distributivity_check(algebra, 4).status == "non_distributive"
-    assert built == [False, True]
+    rep = distributivity_check(algebra, 4)
+    assert rep.status == "non_distributive" and (rep.free, rep.dual) == (1, 0)
+    assert len(built) == 1
+    assert exact == dependent != []
+
+
+def test_a_rank_drop_on_one_block_sends_only_that_block_to_the_exact_pivots(monkeypatch):
+    # the first block with rows loses a pivot at the point; every other
+    # block keeps the point's pivots, and the record is the exact route's
+    make, n = FALLBACK_CASES[0][1:]
+    expected = exact_distributivity(make, n, monkeypatch)
+    assert expected.status == "distributive"
+    dropped = []
+
+    def drop_once(rows):
+        found = pivots_at_point(rows)
+        if found and not dropped:
+            dropped.append(rows)
+            return found[:-1]
+        return found
+
+    dependent, exact = block_pivots(monkeypatch, drop_once)
+    assert distributivity_check(make(), n) == expected
+    assert exact == dependent == dropped != []
 
 
 def test_time_budget_bounds_the_basis():

@@ -9,7 +9,6 @@ from heckebialg.exactnum import ONE, Q, ZERO, Scalar
 from heckebialg import linalg
 from heckebialg.linalg import (
     Matrix,
-    _reduced_echelon,
     commutant,
     commutant_equations,
     echelonize,
@@ -312,12 +311,12 @@ def test_bicommutant_builds_no_equations_past_full_rank(monkeypatch):
     # c1's basis matrices stream into the elimination one at a time, and
     # none after the one whose equations reach full rank is built: for
     # dj:3 at n = 3, 80 of the centralizer's 165 (one kernel vector per
-    # free column, in column order), with the oracle's verdict
-    built = []
+    # free column, in column order), with the oracle's verdict.  The one
+    # other call takes the two generators, whose equations c1 solves.
+    built, generators = [], []
 
     def counted(mats, size):
-        assert len(mats) == 1
-        built.append(mats[0])
+        (built if len(mats) == 1 else generators).append(mats)
         return commutant_equations(mats, size)
 
     monkeypatch.setattr("heckebialg.schur.commutant_equations", counted)
@@ -325,28 +324,30 @@ def test_bicommutant_builds_no_equations_past_full_rank(monkeypatch):
     rep = bicommutant_check(op, 3)
     assert (rep.hecke_span, rep.centralizer, rep.bicommutant, rep.ok) == bicommutant_oracle(op, 3)
     assert (len(built), rep.centralizer) == (80, 165)
+    assert [len(mats) for mats in generators] == [2]
 
 
 def exact_streams(monkeypatch):
-    """The list the exact route's eliminations append their ambients to."""
+    """The list the exact route's ranks of E_P append their values to."""
     streamed = []
 
-    def counted(rows, ambient):
-        streamed.append(ambient)
-        return _reduced_echelon(rows, ambient)
+    def counted(rows):
+        streamed.append(rank(rows))
+        return streamed[-1]
 
-    monkeypatch.setattr("heckebialg.schur._reduced_echelon", counted)
+    monkeypatch.setattr("heckebialg.schur.rank", counted)
     return streamed
 
 
 def test_bicommutant_fails_on_a_diagonal_operator(monkeypatch):
     # the bicommutant holds every diagonal matrix, the span does not: the
-    # check must fail, and the failure comes from the exact elimination
+    # check must fail, and the failure comes from the exact rank of E_P,
+    # N - |P| - (dim c2 - dim span)
     streamed = exact_streams(monkeypatch)
     for n, span, bicommutant in ((2, 2, 4), (3, 5, 8)):
         rep = bicommutant_check(diagonal_operator(), n)
         assert (rep.hecke_span, rep.bicommutant, rep.ok) == (span, bicommutant, False)
-    assert streamed == [2**4 - 2, 2**6 - 5]
+    assert streamed == [2**4 - 2 - 2, 2**6 - 5 - 3]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
