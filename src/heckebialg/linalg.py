@@ -52,7 +52,11 @@ insertion indices.  In dense rational-function rows most of the cost of
 ``forward_eliminate`` takes the state of an earlier one, and
 ``copy_state`` copies a state under increasing column maps with disjoint
 images, which keeps the invariant with no elimination, so a rank that
-grows degree by degree takes in only the rows each degree adds.  The same
+grows degree by degree takes in only the rows each degree adds.  Where
+those rows are copies of a small state's rows, ``eliminate_copies``
+eliminates them into the grown state as they are stored, in Z[p] and
+primitive, so the raw rows the small state was made from are eliminated
+once.  The same
 elimination gives ``pivot_columns``, the columns at which vectors of the
 span start, which are the pivots of the reduced echelon form too; the
 unit vectors off them complete a span to the whole space, so the
@@ -72,9 +76,10 @@ inner loop runs in the interpreter's integer code.  The shift k grows
 with the coefficients: the elimination bounds them, and re-encodes its
 rows at a wider shift before a bound could pass 2^(k-1).
 
-``row_space`` builds a canonical basis the same way: the forward
-elimination of ``rank``, one back-substitution over Z[p], and one division
-per entry at the end.  The reduced echelon form is unique and Scalars are
+``row_space`` builds a canonical basis the same way: from the forward
+elimination of ``rank``, one back-substitution over Z[p] on a copy of its
+rows, so the state stays fit to resume from, and one division per entry
+at the end.  The reduced echelon form is unique and Scalars are
 canonical, so it returns exactly what ``echelonize`` does.  It serves the
 one-shot images of operator matrices, the relation spaces of S, Lambda
 and E, whose dense rows make the Scalar back-elimination cost a gcd per
@@ -115,6 +120,7 @@ __all__ = [
     "Elimination",
     "forward_eliminate",
     "copy_state",
+    "eliminate_copies",
     "row_space",
     "subspace_sum",
     "subspace_intersect",
@@ -740,9 +746,14 @@ def forward_eliminate(rows, start=None):
     again is pushed twice; the second pop finds it absent and skips it.
     """
     state = Elimination([], [], [], [], _MIN_SHIFT) if start is None else start
+    return _eliminate(state, map(zp_row, rows))
+
+
+def _eliminate(state, rows):
+    """The loop of ``forward_eliminate``: the Z[p] rows (fresh dicts of
+    tuples) eliminated into ``state``, which grows in place."""
     stored, pivots, index_of = state.stored, state.pivots, state.index_of
-    for raw in rows:
-        vec = zp_row(raw)
+    for vec in rows:
         heap = [index_of[j] for j in vec.keys() & index_of.keys()]
         if not heap:
             made = vec and _primitive_poly(state, vec)
@@ -796,19 +807,41 @@ def copy_state(state, spread, offsets):
     return Elimination(stored, leads, pivots, heights, state.shift)
 
 
-def row_space(rows, ambient):
-    """Reduced row echelon Subspace spanned by the given sparse rows, the
-    same as ``echelonize``'s, built fraction-free.
+def eliminate_copies(state, spread, offsets, start):
+    """``start`` grown in place by the copies of a state's rows, the copy
+    for offset o sending column c to spread(c) + o, as ``copy_state``
+    makes them; ``state`` is left as it is.
 
-    After ``forward_eliminate``, row k holds only pivots of rows inserted
-    after it.  Back-substitution runs on the packed rows in reverse
+    Unlike ``copy_state`` this eliminates: the copies meet the rows of
+    ``start``, so each is taken back to Z[p] (its lead put back at its
+    pivot) and reduced like a row of ``forward_eliminate``.  A copy holds
+    the stored row's entries, already in Z[p] and primitive, so it needs
+    no common denominator and none of the growth of the raw rows that made
+    the state.
+    """
+    k = state.shift
+    rows = []
+    for row, lead, p in zip(state.stored, state.leads, state.pivots):
+        row = {spread(c): v for c, v in _unpack_row(row, k).items()}
+        row[spread(p)] = lead
+        rows.append(row)
+    return _eliminate(start, ({c + o: v for c, v in row.items()} for o in offsets for row in rows))
+
+
+def row_space(state, ambient):
+    """Reduced row echelon Subspace spanned by the rows a
+    ``forward_eliminate`` state was made from, the same as ``echelonize``'s
+    of those rows, built fraction-free; ``state`` is left as it is.
+
+    The stored row k holds only pivots of rows inserted after it.
+    Back-substitution runs on a copy of the packed rows in reverse
     insertion order, so those rows are fully reduced when row k is
     reached and clearing them from it brings in no other pivot.  A touched
     row is made primitive once; then each entry is decoded and divided by
     the row's lead once, so pivot entries are ``ONE`` and every entry is a
     canonical Scalar.
     """
-    state = forward_eliminate(rows)
+    state = copy_state(state, lambda c: c, (0,))
     stored, leads, pivots, index_of = state.stored, state.leads, state.pivots, state.index_of
     for k in reversed(range(len(stored))):
         held = stored[k].keys() & index_of.keys()

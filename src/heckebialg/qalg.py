@@ -17,10 +17,17 @@ D_n.  Each degree is built from the one below (Polishchuk and Positselski,
 D_n = (D_(n-1) (x) V) & (V^(n-2) (x) R).  Tensoring with V on the right
 copies a space into m blocks of columns that share none, so it costs no
 elimination: the forward elimination of I_n resumes from m copies of that
-of I_(n-1) (``linalg.copy_state``) and takes in only the last lift, and
-D_n is one intersection of the copies of D_(n-1) with it.  No basis of
-I_n is built, and the top degree of D_n needs only a rank, of the
-remainders of the copies modulo the last lift.
+of I_(n-1) (``linalg.copy_state``), and D_n is one intersection of the
+copies of D_(n-1) with the last lift.  Of the last lift I_n takes in only
+C (x) R, C the unit vectors off the pivot columns of I_(n-2): they
+complete I_(n-2) to V^(n-2), so V^(n-2) (x) R = I_(n-2) (x) R + C (x) R,
+and I_(n-2) (x) R lies in I_(n-2) (x) V (x) V, which lies in
+I_(n-1) (x) V.  So I_n = (I_(n-1) (x) V) + (C (x) R) for every quadratic
+algebra, and degree n eliminates dim A_(n-2) copies of R's rows, not
+m^(n-2).  Those copies are of the state the algebra's build made of the
+raw relation rows (``linalg.eliminate_copies``): R is eliminated once per
+algebra.  No basis of I_n is built, and the top degree of D_n needs only
+a rank, of the remainders of the copies modulo the last lift.
 
 One run asks for the same value from several checks, so ``algebra_by_key``,
 ``relation_lifts``, ``graded_dimension`` and ``dual_graded_dimension`` (and
@@ -94,6 +101,7 @@ from .linalg import (
     Matrix,
     Subspace,
     copy_state,
+    eliminate_copies,
     forward_eliminate,
     pivot_columns,
     pivots_at_point,
@@ -125,18 +133,22 @@ __all__ = [
 
 
 class QuadraticAlgebra:
-    """m generators and a relation subspace inside the m^2-dim square.
+    """m generators and the relation subspace spanned by ``rows`` inside
+    the m^2-dim square.
 
-    ``memo`` holds the values ``rmatrix.memoised`` functions computed from
-    the algebra.
+    ``state`` is the forward elimination of the rows, which the relation
+    sum of every degree takes its copies of R from (``_relation_sum``),
+    and ``relations`` the reduced echelon basis back-substituted from a
+    copy of it.  ``memo`` holds the values ``rmatrix.memoised`` functions
+    computed from the algebra.
     """
 
-    __slots__ = ("generators", "relations", "label", "memo")
+    __slots__ = ("generators", "relations", "state", "label", "memo")
 
-    def __init__(self, generators, relations, label):
-        assert relations.ambient == generators**2
+    def __init__(self, generators, rows, label):
         self.generators = generators
-        self.relations = relations
+        self.state = forward_eliminate(rows)
+        self.relations = row_space(self.state, generators**2)
         self.label = label
         self.memo = {}
 
@@ -144,23 +156,20 @@ class QuadraticAlgebra:
 def build_lambda(op):
     """The q-exterior algebra: relations Im(R + 1)."""
     m = op.d * op.d
-    rel = row_space((op.R + Matrix.identity(m)).data, m)
-    return QuadraticAlgebra(op.d, rel, f"Lambda({op.name})")
+    return QuadraticAlgebra(op.d, (op.R + Matrix.identity(m)).data, f"Lambda({op.name})")
 
 
 def build_s(op):
     """The q-symmetric algebra (quantum plane): relations Im(R - q)."""
     m = op.d * op.d
-    rel = row_space((op.R - Matrix.identity(m).scale(op.q)).data, m)
-    return QuadraticAlgebra(op.d, rel, f"S({op.name})")
+    return QuadraticAlgebra(op.d, (op.R - Matrix.identity(m).scale(op.q)).data, f"S({op.name})")
 
 
 def build_e(op):
     """The matrix-bialgebra function algebra: relations Im(Rbar - 1) on W."""
     wop = matrix_space_operator(op)
     m = wop.d * wop.d
-    rel = row_space((wop.R - Matrix.identity(m)).data, m)
-    return QuadraticAlgebra(wop.d, rel, f"E({op.name})")
+    return QuadraticAlgebra(wop.d, (wop.R - Matrix.identity(m)).data, f"E({op.name})")
 
 
 @memoised
@@ -188,8 +197,8 @@ def relation_lifts(algebra, n):
 
 @memoised
 def _last_lift(algebra, n):
-    """R_(n-1)^n(A) = V^(n-2) (x) R: the one lift the degree-n relation sum
-    and dual take in beyond the copies of degree n-1."""
+    """R_(n-1)^n(A) = V^(n-2) (x) R: the one lift the degree-n dual takes
+    in beyond the copies of degree n-1."""
     return _embed(algebra.relations, algebra.generators ** (n - 2), 1)
 
 
@@ -206,17 +215,26 @@ def graded_dimension(algebra, n):
 def _relation_sum(algebra, n):
     """The forward elimination of I_n (n >= 2), resumed from I_(n-1).
 
-    I_n = (I_(n-1) (x) V) + (V^(n-2) (x) R): the lifts of degree n at
-    positions 1..n-2 are those of degree n-1 tensored with V on the right,
-    which sends column c to c*m + j for the j-th basis vector of V.  So the
-    state of degree n-1 copied under those m maps (``copy_state``) is a
-    state for them, and only the lift at position n-1 is eliminated.
+    Degree 2 is the algebra's ``state``, the elimination of R's rows.
+    Beyond it, I_n = (I_(n-1) (x) V) + (C (x) R), C the unit vectors off
+    the pivot columns of I_(n-2) (all of V for n = 3).  Those unit vectors
+    complete I_(n-2) to V^(n-2), so V^(n-2) (x) R = I_(n-2) (x) R + C (x) R,
+    and I_(n-2) (x) R lies in I_(n-2) (x) V (x) V, inside I_(n-1) (x) V
+    since I_(n-2) (x) V lies in I_(n-1).  Tensoring with V on the right
+    sends column c to c*m + j for the j-th basis vector of V, so the state
+    of degree n-1 copied under those m maps (``copy_state``) is a state for
+    I_(n-1) (x) V, and only the copies of R's state at the offsets x*m^2,
+    x in C, are eliminated into it (``eliminate_copies``): dim A_(n-2) *
+    dim R rows, not the m^(n-2) * dim R of the whole last lift.  Nothing
+    here asks A to be Koszul.
     """
+    if n == 2:
+        return algebra.state
     m = algebra.generators
-    below = None
-    if n > 2:
-        below = copy_state(_relation_sum(algebra, n - 1), lambda c: c * m, range(m))
-    return forward_eliminate(_last_lift(algebra, n).basis, below)
+    below = copy_state(_relation_sum(algebra, n - 1), lambda c: c * m, range(m))
+    held = _relation_sum(algebra, n - 2).index_of if n > 3 else {}
+    complement = [x * m * m for x in range(m ** (n - 2)) if x not in held]
+    return eliminate_copies(algebra.state, lambda c: c, complement, below)
 
 
 @memoised

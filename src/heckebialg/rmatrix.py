@@ -76,8 +76,8 @@ def memoised(fn):
     dict whose ``__missing__`` finds the value elsewhere (``cli.Worker``
     reads it from a forked child).  Only exact values are memoised, and
     none is changed once kept: the elimination states of ``qalg`` and
-    ``schur`` are copied (``linalg.copy_state``) before the next degree
-    resumes from them.
+    ``schur`` are copied (``linalg.copy_state``, ``linalg.eliminate_copies``)
+    before the next degree resumes from them.
     """
     name = fn.__name__
 

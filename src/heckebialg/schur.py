@@ -13,8 +13,9 @@ the commutant equations of the centralizer, with the span's pivot columns
 deleted, must have full column rank, and the elimination stops once they
 do.  No basis of the bicommutant is built, and a pass is certified by full
 rank at one point mod a prime.  Where the point hits a pole or falls
-short, the exact route decides on the dimension engines of ``linalg``:
-the span's pivots from ``pivot_columns`` and the equations' ``rank``.
+short, the exact route decides on the engines of ``linalg``: the span's
+pivots from ``pivot_columns`` and the equations' rank from
+``echelonize``, which stops at full rank too.
 """
 
 import math
@@ -27,11 +28,12 @@ from .linalg import (
     Matrix,
     commutant_equations,
     copy_state,
+    echelonize,
+    eliminate_copies,
     forward_eliminate,
     kernel_rows,
     pivot_columns,
     pivots_at_point,
-    rank,
     rows_at_point,
 )
 from .qalg import algebra_by_key, graded_dimension
@@ -257,20 +259,40 @@ def _commutant_state(op, n):
     (e, f) with each X'[r, c] replaced by X[r*d + a, c*d + b].  Vectorized
     row-major, the d^2 maps (a, b) are increasing with disjoint images, so
     the degree-(n-1) state copied under them (``copy_state``) is a state
-    for T_1..T_(n-2), and only the equations of T_(n-1) are eliminated.
+    for T_1..T_(n-2).
+
+    T_(n-1) = 1 (x) R on V^(n-2) (x) V^2: its equations are those of
+    degree 2 in every block X[(e, .), (f, .)], e, f indexing V^(n-2), so
+    they span k^(N) (x) Q_2, N = d^(2(n-2)) and Q_2 the span of the
+    degree-2 equations.  The unit vectors (e, f) off the pivot columns of
+    degree n-2 complete its span Q_(n-2) to k^N (all of k^N for n = 3),
+    and Q_(n-2) (x) Q_2 lies in Q_(n-2) (x) k^(d^4), the span of the
+    equations of T_1..T_(n-3) in every slice X[(., a), (., b)], a, b
+    indexing V^2: those are among the copies.  So only the copies of the
+    degree-2 state in the blocks (e, f) off those pivots are eliminated
+    (``eliminate_copies``): ``centralizer_dimension(op, n - 2)`` copies of
+    rank Q_2 rows, not the up to d^(2n) equations of T_(n-1).
     """
     d, size = op.d, op.d**n
-    below = None
-    if n > 2:
-        prev = size // d
+    if n == 2:
+        return forward_eliminate(commutant_equations([op.lifted(1, 2)], size))
+    prev, sq = size // d, d * d
 
-        def spread(k):
-            r, c = divmod(k, prev)
-            return r * d * size + c * d
+    def spread(k):
+        r, c = divmod(k, prev)
+        return r * d * size + c * d
 
-        offsets = [a * size + b for a in range(d) for b in range(d)]
-        below = copy_state(_commutant_state(op, n - 1), spread, offsets)
-    return forward_eliminate(commutant_equations([op.lifted(n - 1, n)], size), below)
+    offsets = [a * size + b for a in range(d) for b in range(d)]
+    below = copy_state(_commutant_state(op, n - 1), spread, offsets)
+
+    def place(k):
+        a, b = divmod(k, sq)
+        return a * size + b
+
+    outer = size // sq
+    held = _commutant_state(op, n - 2).index_of if n > 3 else {}
+    blocks = [e * sq * size + f * sq for e in range(outer) for f in range(outer) if e * outer + f not in held]
+    return eliminate_copies(_commutant_state(op, 2), place, blocks, below)
 
 
 def _vec_row(mat):
@@ -323,9 +345,10 @@ def bicommutant_check(op, n):
     exact, and no matrix after the one that reaches full rank is read.  If
     the point hits a pole or falls short of full rank, the exact route
     runs: P the span's exact pivots (``linalg.pivot_columns``) and E_P's
-    rank over Q(p) (``linalg.rank``).  So every failure comes from the
-    exact route, and every dimension in the report is exact on both
-    routes.
+    rank over Q(p) from ``linalg.echelonize`` of the same lazy stream,
+    which stops reading matrices at full rank as well.  So every failure
+    comes from the exact route, and every dimension in the report is
+    exact on both routes.
     """
     size = op.d**n
     c1 = kernel_rows(commutant_equations([op.lifted(i, n) for i in range(1, n)], size), size * size)
@@ -340,21 +363,23 @@ def bicommutant_check(op, n):
             return BicommutantReport(len(pivots), len(c1), len(pivots), True)
     pivots = pivot_columns(span_rows)
     free, rows = _restricted_equations(c1, pivots, size)
-    bicommutant = len(pivots) + free - rank(rows)
+    bicommutant = len(pivots) + free - echelonize(rows, free).dim
     return BicommutantReport(len(pivots), len(c1), bicommutant, bicommutant == len(pivots))
 
 
 def _restricted_equations(c1, pivots, size):
     """(N - |P|, the rows of E_P): the commutant equations of the elements
     of c1, one matrix at a time, with the entries of X at the columns P
-    left out."""
+    left out and the others numbered 0..N - |P| - 1 in order, so that an
+    elimination that stops at N - |P| rows stops at full rank."""
     pivots = set(pivots)
+    kept = {c: k for k, c in enumerate(c for c in range(size * size) if c not in pivots)}
     rows = (
-        {k: v for k, v in eq.items() if k not in pivots}
+        {kept[c]: v for c, v in eq.items() if c in kept}
         for row in c1
         for eq in commutant_equations([_unvec(row, size)], size)
     )
-    return size * size - len(pivots), rows
+    return len(kept), rows
 
 
 # ---------------------------------------------------------------------------

@@ -632,17 +632,26 @@ def test_report_small(tmp_path):
 
 def test_report_computes_each_dimension_once(monkeypatch, tmp_path):
     # the dims, poincare, koszul and schur checks ask 35 times for dim A_n,
-    # 20 times for dim (A^!)_n and 5 times for a centralizer.  Each degree
-    # n >= 2 of a relation sum is one elimination, resumed from the degree
-    # below: S to n = 4, Lambda and E to n = 3, 7 in all.  Each distinct
-    # dual dimension with n >= 3 takes one rank, 3 ranks in qalg; the full-
-    # rank tests of the three distributing bases are certified at one point
-    # mod a prime and take no exact rank.
-    # The centralizer of each degree n >= 2 is one elimination too, 2 in
+    # 20 times for dim (A^!)_n and 5 times for a centralizer.  The rows of
+    # each algebra's relations are eliminated once, when it is built: 3
+    # forward eliminations in qalg, whose states are the relation sums of
+    # degree 2.  Each degree n >= 3 of a relation sum is one elimination of
+    # copies of that state, resumed from the degree below: S to n = 4,
+    # Lambda and E to n = 3, 4 in all.  Each distinct dual dimension with
+    # n >= 3 takes one rank, 3 ranks in qalg; the full-rank tests of the
+    # three distributing bases are certified at one point mod a prime and
+    # take no exact rank.  The centralizer of degree 2 is one elimination
+    # of its equations and that of degree 3 one of copies of it, 1 and 1 in
     # schur.  Every call appends a line to a file, which the forked worker
     # (it takes the double centralizers) would share
     log = tmp_path / "eliminations"
-    for module, name in (("qalg", "forward_eliminate"), ("qalg", "rank"), ("schur", "forward_eliminate")):
+    for module, name in (
+        ("qalg", "forward_eliminate"),
+        ("qalg", "eliminate_copies"),
+        ("qalg", "rank"),
+        ("schur", "forward_eliminate"),
+        ("schur", "eliminate_copies"),
+    ):
         original = getattr(linalg, name)
 
         def counted(*args, tag=f"{module}.{name}", original=original):
@@ -653,9 +662,11 @@ def test_report_computes_each_dimension_once(monkeypatch, tmp_path):
         monkeypatch.setattr(f"heckebialg.{module}.{name}", counted)
     assert run(["report", "--builtin", "dj:2", "-N", "3"]) == 0
     assert Counter(log.read_text().split()) == {
-        "qalg.forward_eliminate": 7,
+        "qalg.forward_eliminate": 3,
+        "qalg.eliminate_copies": 4,
         "qalg.rank": 3,
-        "schur.forward_eliminate": 2,
+        "schur.forward_eliminate": 1,
+        "schur.eliminate_copies": 1,
     }
 
 

@@ -19,6 +19,7 @@ from heckebialg.linalg import (
     commutant,
     commutant_equations,
     copy_state,
+    eliminate_copies,
     echelonize,
     forward_eliminate,
     kernel_rows,
@@ -246,7 +247,7 @@ def test_echelonize_matches_dense_oracle():
         assert ech.pivots == pivots
         assert list(ech.basis) == basis
         assert rank(rows) == len(pivots)
-        assert row_space(rows, ambient) == ech
+        assert row_space(forward_eliminate(rows), ambient) == ech
 
 
 def test_echelonize_ignores_row_order_and_scale():
@@ -392,6 +393,24 @@ def test_copied_state_resumes_like_one_elimination(case, extra, copies):
     assert tuple(sorted(resumed.pivots)) == pivot_columns(moved + more)
 
 
+@settings(max_examples=100, deadline=None)
+@given(row_lists(symbolic=True), row_lists(symbolic=True), st.lists(st.integers(0, 3), unique=True))
+@example(([{0: P, 1: ONE}, {1: P + 1}], 2), ([{0: ONE, 3: P}, {1: Q, 2: ONE}], 4), [0, 2])
+def test_eliminated_copies_span_what_the_copied_rows_span(case, extra, offsets):
+    # the copies of a state eliminated into another span the rows they were
+    # copied from, moved, together with the other state's rows; the copied
+    # state stays as it was
+    rows, ambient = case
+    more, _ = extra
+    state = forward_eliminate(rows)
+    kept = copy.deepcopy(state)
+    offsets = [o * 3 * ambient for o in offsets]
+    grown = eliminate_copies(state, lambda c: 3 * c, offsets, forward_eliminate(more))
+    assert state == kept
+    moved = [{3 * c + o: v for c, v in row.items()} for o in offsets for row in rows]
+    assert tuple(sorted(grown.pivots)) == pivot_columns(moved + more)
+
+
 # Packed rows: coefficients that pass the packing shift.  Those from 2^8 to
 # 2^14 fit the first shift, so the first products cross it partway through
 # a reduction; those from 2^30 to 2^80 widen it before packing and again
@@ -464,7 +483,7 @@ def test_packed_elimination_matches_echelonize_past_the_shift(case):
     ech = echelonize(rows, ambient)
     assert rank(rows) == ech.dim
     assert pivot_columns(rows) == ech.pivots
-    assert row_space(rows, ambient) == ech
+    assert row_space(forward_eliminate(rows), ambient) == ech
 
 
 @pytest.mark.parametrize("case", WIDE_EXAMPLES[:2], ids=["near-2^12", "near-2^80"])
@@ -483,7 +502,7 @@ def test_a_reduction_that_crosses_the_shift_widens_it_partway(case, monkeypatch)
     assert any(widened), widened
     ech = echelonize(rows, ambient)
     assert len(state.pivots) == ech.dim
-    assert row_space(rows, ambient) == ech
+    assert row_space(forward_eliminate(rows), ambient) == ech
 
 
 @settings(max_examples=40, deadline=None)
@@ -584,9 +603,13 @@ def test_kernel_rows_are_a_basis_of_the_kernel(case):
 # holds no pivot of it, so back-substitution clears only pivots to the right
 @example(([{1: P, 2: ONE, 3: P + 1}, {0: ONE, 2: Q}, {2: P - 1, 3: ONE}], 4))
 def test_row_space_matches_echelonize(case):
+    # back-substituted from a copy: the state it reads stays as it was
     rows, ambient = case
     ech = echelonize(rows, ambient)
-    span = row_space(rows, ambient)
+    state = forward_eliminate(rows)
+    kept = copy.deepcopy(state)
+    span = row_space(state, ambient)
+    assert state == kept
     assert span == ech
     assert span.dim == rank(rows)
     for p, row in zip(span.pivots, span.basis):
@@ -599,7 +622,7 @@ def test_row_space_matches_echelonize(case):
 def test_row_space_ignores_scale_order_and_combinations(case, data):
     # the row space, not the rows that span it, fixes the reduced basis
     rows, ambient = case
-    span = row_space(rows, ambient)
+    span = row_space(forward_eliminate(rows), ambient)
     scales = field_entries(True).filter(bool)
     moved = []
     for r in rows:
@@ -615,7 +638,7 @@ def test_row_space_ignores_scale_order_and_combinations(case, data):
             for j, v in r.items():
                 combo[j] = combo.get(j, ZERO) + c * v
         moved.append(combo)
-    assert row_space(moved, ambient) == span
+    assert row_space(forward_eliminate(moved), ambient) == span
 
 
 @settings(max_examples=150, deadline=None)

@@ -12,6 +12,7 @@ from heckebialg import linalg
 from heckebialg.linalg import (
     Matrix,
     echelonize,
+    forward_eliminate,
     lift_rows,
     pivot_columns,
     pivots_at_point,
@@ -97,6 +98,18 @@ def dense_dj2():
     return HeckeOperator(2, gg * base.R * gg.inverse(), base.q, "dense-dj2")
 
 
+def numeric_q_dj2():
+    # dj:2 with every entry at p = 2 and q = 4, held as constant Scalars as
+    # a file that says symbolic-p holds them
+    rows = [{j: Scalar(v) for j, v in row.items()} for row in dj_r_matrix(2).specialize(2).R.data]
+    return HeckeOperator(2, Matrix(4, 4, rows), Scalar(4), "dj2-q4")
+
+
+def non_koszul_toy():
+    # xy = 0 and yx + y^2 = 0 on the generators x, y
+    return QuadraticAlgebra(2, [{1: ONE}, {2: ONE, 3: ONE}], "toy")
+
+
 LIFT_OPERATORS = {
     "dj:2": lambda: dj_r_matrix(2),
     "dj:3": lambda: dj_r_matrix(3),
@@ -180,7 +193,7 @@ def test_conjugate_relations_are_the_base_relations_moved_by_g(d, upper):
     for build in (build_s, build_lambda):
         rel = build(base).relations
         moved = Matrix(rel.dim, m, list(rel.basis)) * gg_inv
-        assert build(op).relations == row_space(moved.data, m) != rel
+        assert build(op).relations == row_space(forward_eliminate(moved.data), m) != rel
 
 
 @pytest.mark.parametrize("build", [build_s, build_lambda, build_e], ids=["S", "Lambda", "E"])
@@ -208,7 +221,16 @@ RESUME_OPERATORS = {
     "superflip:1|1": (lambda: super_flip(1, 1), 1024),
     "dense-dj2": (dense_dj2, 256),
     "dense-dj2@p=3/2": (lambda: dense_dj2().specialize(Fraction(3, 2)), 256),
+    "dj2-q4": (numeric_q_dj2, 1024),
 }
+
+# S, Lambda and E of each of those, and an algebra that is not Koszul
+RESUME_ALGEBRAS = {
+    f"{name}-{key}": (lambda make=make, build=build: build(make()), budget)
+    for name, (make, budget) in RESUME_OPERATORS.items()
+    for key, build in (("S", build_s), ("Lambda", build_lambda), ("E", build_e))
+}
+RESUME_ALGEBRAS["non-koszul-toy"] = (non_koszul_toy, 1024)
 
 
 def ideal_rank_from_scratch(algebra, n):
@@ -226,11 +248,11 @@ def dual_from_scratch(algebra, n):
     return acc
 
 
-@pytest.mark.parametrize("build", [build_s, build_lambda, build_e], ids=["S", "Lambda", "E"])
-@pytest.mark.parametrize("name", list(RESUME_OPERATORS))
-def test_resumed_dimensions_match_the_eliminations_from_scratch(name, build):
-    make, budget = RESUME_OPERATORS[name]
-    algebra = build(make())
+@pytest.mark.parametrize("name", list(RESUME_ALGEBRAS))
+def test_resumed_dimensions_match_the_eliminations_from_scratch(name):
+    # each degree takes in only the copies of R over a complement of degree n - 2
+    make, budget = RESUME_ALGEBRAS[name]
+    algebra = make()
     m = algebra.generators
     for n in range(2, 6):
         if m**n > budget:
@@ -258,16 +280,57 @@ def test_interval_meets_are_the_intersections_they_copy(make, build):
 
 
 def test_a_state_is_unchanged_after_a_higher_degree_resumes_from_it():
-    # every degree copies the memoised state below it before eliminating
+    # every degree copies the memoised states below it before eliminating,
+    # and the build's state is still the elimination of the raw relation
+    # rows after the relations were back-substituted from it
     op = dense_dj2()
     algebra = build_e(op)
-    states = {"ideal": _relation_sum(algebra, 3), "commutant": _commutant_state(op, 2)}
+    assert algebra.state == forward_eliminate(relation_rows("E", op)[0])
+    assert _relation_sum(algebra, 2) is algebra.state
+    states = {
+        "ideal-2": algebra.state,
+        "ideal-3": _relation_sum(algebra, 3),
+        "commutant-2": _commutant_state(op, 2),
+        "commutant-3": _commutant_state(op, 3),
+    }
     kept = copy.deepcopy(states)
     assert graded_dimension(algebra, 4) == 35
-    assert centralizer_dimension(op, 3) == 20
-    assert _relation_sum(algebra, 3) is states["ideal"]
-    assert _commutant_state(op, 2) is states["commutant"]
+    assert centralizer_dimension(op, 4) == 35
+    assert _relation_sum(algebra, 2) is states["ideal-2"]
+    assert _relation_sum(algebra, 3) is states["ideal-3"]
+    assert _commutant_state(op, 2) is states["commutant-2"]
+    assert _commutant_state(op, 3) is states["commutant-3"]
     assert states == kept
+
+
+def test_each_degree_takes_in_only_the_copies_over_a_complement(monkeypatch):
+    # degree n eliminates dim A_(n-2) copies of R's dim R rows into the
+    # ideal and centralizer_dimension(n - 2) copies of the degree-2
+    # equations' rank E_2 rows into the commutant: 210 and 210 for E(dj:2)
+    # at n = 6, where the whole last lift has 4^4 * 6 = 1536 rows and T_5
+    # up to 2^12 = 4096 equations
+    op = dj_r_matrix(2)
+    algebra = build_e(op)
+    n = 6
+    for k in range(2, n):
+        graded_dimension(algebra, k)
+        centralizer_dimension(op, k)
+    taken = []
+    original = linalg._eliminate
+
+    def counted(state, rows):
+        rows = list(rows)
+        taken.append(len(rows))
+        return original(state, rows)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    assert graded_dimension(algebra, n) == centralizer_dimension(op, n) == 84
+    rank_e2 = len(_commutant_state(op, 2).pivots)
+    assert taken == [
+        graded_dimension(algebra, n - 2) * algebra.relations.dim,
+        centralizer_dimension(op, n - 2) * rank_e2,
+    ]
+    assert taken == [210, 210]
 
 
 def test_algebra_by_key():
@@ -378,8 +441,7 @@ def test_koszul_series_e_superflip():
 def test_koszul_series_detects_imbalance():
     # a one-relation algebra on two generators whose dual series cannot
     # cancel: relations spanned by x(x)x only
-    rel = echelonize([{0: ONE}], 4)
-    a = QuadraticAlgebra(2, rel, "toy")
+    a = QuadraticAlgebra(2, [{0: ONE}], "toy")
     rep = koszul_series_check(a, 3)
     assert [r == 0 for r in rep.residuals].count(False) >= 1 or rep.ok
 
@@ -547,7 +609,7 @@ def test_three_lines_fail_the_basis_and_get_a_witness():
 def test_non_koszul_algebra_gets_a_witness():
     # xy = 0 and yx + y^2 = 0: the degree-4 lattice of its relation lifts
     # is not distributive, and the failed basis still counts dim A_4, dim A^!_4
-    algebra = QuadraticAlgebra(2, echelonize([{1: ONE}, {2: ONE, 3: ONE}], 4), "toy")
+    algebra = non_koszul_toy()
     rep = distributivity_check(algebra, 4)
     assert rep.status == "non_distributive" and rep.witness is not None
     assert rep.routes == ["distributing-basis", "closure"]
@@ -577,7 +639,7 @@ FALLBACK_CASES = [
     ("E-dj2-n3", lambda: build_e(dj_r_matrix(2)), 3),
     ("Lambda-dj2-n4", lambda: build_lambda(dj_r_matrix(2)), 4),
     ("S-dj3-n3", lambda: build_s(dj_r_matrix(3)), 3),
-    ("toy-n4", lambda: QuadraticAlgebra(2, echelonize([{1: ONE}, {2: ONE, 3: ONE}], 4), "toy"), 4),
+    ("toy-n4", lambda: non_koszul_toy(), 4),
 ]
 
 
@@ -660,7 +722,7 @@ def test_a_failed_basis_is_decided_by_the_exact_blocks(monkeypatch):
 
     monkeypatch.setattr("heckebialg.qalg.distributing_basis", recorded)
     dependent, exact = block_pivots(monkeypatch, pivots_at_point)
-    algebra = QuadraticAlgebra(2, echelonize([{1: ONE}, {2: ONE, 3: ONE}], 4), "toy")
+    algebra = non_koszul_toy()
     rep = distributivity_check(algebra, 4)
     assert rep.status == "non_distributive" and (rep.free, rep.dual) == (1, 0)
     assert len(built) == 1

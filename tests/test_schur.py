@@ -327,15 +327,35 @@ def test_bicommutant_builds_no_equations_past_full_rank(monkeypatch):
     assert [len(mats) for mats in generators] == [2]
 
 
+def test_the_exact_route_builds_no_equations_past_full_rank(monkeypatch):
+    # at p = 0, a pole of c1, the exact route counts E_P by an elimination
+    # that stops at full rank too: the same 80 matrices of dj:3 at n = 3
+    built = []
+
+    def counted(mats, size):
+        if len(mats) == 1:
+            built.append(mats)
+        return commutant_equations(mats, size)
+
+    monkeypatch.setattr("heckebialg.schur.commutant_equations", counted)
+    streamed = exact_streams(monkeypatch)
+    monkeypatch.setattr(linalg, "POINT", 0)
+    op = dj_r_matrix(3)
+    rep = bicommutant_check(op, 3)
+    assert (rep.hecke_span, rep.centralizer, rep.bicommutant, rep.ok) == bicommutant_oracle(op, 3)
+    assert (len(built), streamed) == (80, [3**6 - rep.hecke_span])
+
+
 def exact_streams(monkeypatch):
     """The list the exact route's ranks of E_P append their values to."""
     streamed = []
 
-    def counted(rows):
-        streamed.append(rank(rows))
-        return streamed[-1]
+    def counted(rows, cols):
+        span = echelonize(rows, cols)
+        streamed.append(span.dim)
+        return span
 
-    monkeypatch.setattr("heckebialg.schur.rank", counted)
+    monkeypatch.setattr("heckebialg.schur.echelonize", counted)
     return streamed
 
 
