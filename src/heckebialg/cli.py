@@ -11,21 +11,14 @@ and S_n multiplicities at p = 1) run only when q is 1 at p = 1
 (``HeckeOperator.q_tends_to_one``); on any other q, specialized or not,
 those records keep the routes that hold at every q.
 
-The centralizer routes share no state with the algebra side, so a run
-opens one forked worker process (``Worker``) that computes them while the
-main process goes on: the double centralizer of each degree for ``schur``
-and ``report``, the centralizer dimension of each degree for ``dims -a
-E`` (``_worker_jobs``).  The worker is the operator's memo for the run, so
-the checks ask for these values like any other memoised value and a run
-still computes each once.  A lost worker costs only time: what it did not
-send is computed in the main process, so values, exceptions and exit
-codes are those of the one-process program.  A record's ``elapsed`` is
-the main process's wall time from the start of its check, waiting
-included.
+A run is one process, and each value a check asks for is computed once
+and kept in the memo of its operator or algebra (``rmatrix.memoised``):
+the double centralizer of a degree reads the centralizer from the
+elimination its dimension check already made.  A record's ``elapsed`` is
+the wall time from the start of its check.
 """
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -149,14 +142,19 @@ def operator_from_document(doc, budget=DEFAULT_BUDGET):
     _space_dimension(name, d)
     require_budget(d**3, budget, f"the Yang-Baxter check of {name!r}")
     m = d * d
-    if len(entries) != m or any(len(row) != m for row in entries):
+    # a string is a sequence too: a row given as one would be read by character
+    if not isinstance(entries, list) or len(entries) != m or any(
+        not isinstance(row, list) or len(row) != m for row in entries
+    ):
         raise CLIError(f"entries must be a {m}x{m} array of scalar strings")
     data = []
     for i, row in enumerate(entries):
         out = {}
         for j, text in enumerate(row):
+            if not isinstance(text, str):
+                raise CLIError(f"entry ({i}, {j}) is {text!r}, not a scalar string")
             try:
-                v = scalar(str(text))
+                v = scalar(text)
             except ValueError as exc:
                 raise CLIError(f"bad scalar at entry ({i}, {j}): {exc}") from None
             if v:
@@ -298,119 +296,6 @@ def _merge_routes(report, name, degree, by_route, started):
         routes=list(by_route),
         started=started,
     )
-
-
-# ---------------------------------------------------------------------------
-# the centralizer worker
-
-
-class Worker(dict):
-    """The memo of ``op`` for one run, with values computed in a forked child.
-
-    ``jobs`` is an ordered list of (key, thunk): each thunk returns a
-    ``rmatrix.memoised`` value of ``op`` and the key is its memo key.  On
-    entry the worker takes over the memo's entries and becomes ``op.memo``,
-    and one child is forked; it runs the thunks in order and sends each
-    (key, value) down a pipe.  A key missing here (``__missing__``) that
-    the child was given is read from the pipe, with every value before it;
-    any other key, or any key once the pipe has ended (the child raised,
-    crashed or was killed), is a ``KeyError``, so ``memoised`` computes the
-    value in this process and values, exceptions and exit codes are the
-    one-process program's.  Without ``os.fork``, or when the fork fails,
-    every value is computed here.  On exit the child is killed if still
-    running and always reaped.
-    """
-
-    def __init__(self, op, jobs):
-        super().__init__(op.memo)
-        self._op = op
-        self._jobs = dict(jobs)
-        self._pid = None
-        self._pipe = None
-
-    def __enter__(self):
-        self._op.memo = self
-        if not self._jobs or not hasattr(os, "fork"):
-            return self
-        import pickle
-
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            return self
-        if pid == 0:
-            try:
-                os.close(read_fd)
-                with os.fdopen(write_fd, "wb") as out:
-                    for key, thunk in self._jobs.items():
-                        pickle.dump((key, thunk()), out)
-                        out.flush()
-            finally:
-                # never return into the parent's code, exit handlers or buffers
-                os._exit(0)
-        os.close(write_fd)
-        self._pid = pid
-        self._pipe = os.fdopen(read_fd, "rb")
-        return self
-
-    def __missing__(self, key):
-        if key in self._jobs:
-            import pickle
-
-            while self._pipe is not None:
-                try:
-                    sent, value = pickle.load(self._pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    # the child is gone: what it did not send is computed here
-                    self._pipe.close()
-                    self._pipe = None
-                    break
-                self[sent] = value
-                if sent == key:
-                    return value
-        raise KeyError(key)
-
-    def __exit__(self, *exc_info):
-        if self._pid is not None:
-            import signal
-
-            os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
-            self._pid = None
-        if self._pipe is not None:
-            self._pipe.close()
-            self._pipe = None
-
-
-def _worker_jobs(op, args, budget):
-    """(memo key, thunk) of each value this run's worker computes, in the
-    order its checks ask for them.
-
-    ``schur`` and ``report`` take the double centralizer of each degree up
-    to the first the Schur checks refuse, ``dims -a E`` the centralizer
-    dimension of each degree within the budget; no other run forks.  The
-    memo key is spelled out: the function may be a wrapper with another
-    name.
-    """
-    if args.command == "dims" and args.algebra == "E":
-        name, fn = "centralizer_dimension", centralizer_dimension
-        degrees = [n for n in range(1, args.max_degree + 1) if (op.d**n) ** 2 <= budget]
-    elif args.command in ("schur", "report"):
-        name, fn = "bicommutant_check", bicommutant_check
-        wanted = [args.degree] if args.command == "schur" else range(2, min(args.max_degree, 4) + 1)
-        degrees = []
-        for n in wanted:
-            try:
-                _require_schur(op, n, budget)
-            except CLIError:
-                break
-            degrees.append(n)
-    else:
-        return []
-    return [((name, n), functools.partial(fn, op, n)) for n in degrees]
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +584,7 @@ def main(argv=None):
         # time_budget is a parameter of the run only when it is given
         params = {k: getattr(args, k) for k in names if k != "time_budget" or time_budget is not None}
         report = VerificationReport(args.command, op.name, params)
-        with Worker(op, _worker_jobs(op, args, budget)):
-            command(op, report, budget=budget, **params)
+        command(op, report, budget=budget, **params)
         if not report.checks:
             raise CLIError("these parameters give no checks to run")
     except CLIError as exc:

@@ -49,11 +49,10 @@ insertion indices.  In dense rational-function rows most of the cost of
 ``echelonize`` is back-elimination, which is why the dimension-only routes
 (``graded_dimension``, ``centralizer_dimension``, the last intersection of
 ``dual_graded_dimension``) take a rank.  The elimination can resume:
-``forward_eliminate`` takes the state of an earlier one, and
 ``copy_state`` copies a state under increasing column maps with disjoint
 images, which keeps the invariant with no elimination, so a rank that
-grows degree by degree takes in only the rows each degree adds.  Where
-those rows are copies of a small state's rows, ``eliminate_copies``
+grows degree by degree takes in only the rows each degree adds.  Those
+rows are copies of a small state's rows, and ``eliminate_copies``
 eliminates them into the grown state as they are stored, in Z[p] and
 primitive, so the raw rows the small state was made from are eliminated
 once.  The same
@@ -82,11 +81,13 @@ rows, so the state stays fit to resume from, and one division per entry
 at the end.  The reduced echelon form is unique and Scalars are
 canonical, so it returns exactly what ``echelonize`` does.  It serves the
 one-shot images of operator matrices, the relation spaces of S, Lambda
-and E, whose dense rows make the Scalar back-elimination cost a gcd per
-operation.  ``echelonize`` (so ``kernel_rows``, the intersections and
-``Matrix.inverse``) stays in reduced Scalars: it is fed many small,
-sparse systems, where a fraction-free accumulator measured slower (on 2
-cores the lattice closure of S(dj:2) at n = 6 took 19.7 s against 12.4 s).
+and E, and the commutant equations whose kernel ``kernel_rows`` reads
+off that form for the double centralizer; their dense rows make the
+Scalar back-elimination cost a gcd per operation.  ``echelonize`` (the
+intersections and ``Matrix.inverse``) stays in reduced Scalars: it is
+fed many small, sparse systems, where a fraction-free accumulator
+measured slower (on 2 cores the lattice closure of S(dj:2) at n = 6 took
+19.7 s against 12.4 s).
 
 A full-rank test needs no exact elimination when it passes at one point.
 Sending p to ``POINT`` and reducing mod the prime ``MODULUS`` = 2^61 - 1
@@ -716,12 +717,8 @@ def _primitive_poly(state, poly):
     return col, lead, _pack_row(poly, state.shift), height
 
 
-def forward_eliminate(rows, start=None):
+def forward_eliminate(rows):
     """Forward elimination over Z[p], fraction-free, as an ``Elimination``.
-
-    With ``start``, a state this returned or ``copy_state`` made, the rows
-    are eliminated against its rows and the state itself grows in place:
-    resume only from a state that nothing else keeps.
 
     Scaling a row by a nonzero element of Q(p) leaves its span alone, so
     an incoming row is taken into Z[p] by the lcm of its denominators
@@ -745,13 +742,13 @@ def forward_eliminate(rows, start=None):
     each row is met once, in order.  A column that cancels and fills in
     again is pushed twice; the second pop finds it absent and skips it.
     """
-    state = Elimination([], [], [], [], _MIN_SHIFT) if start is None else start
-    return _eliminate(state, map(zp_row, rows))
+    return _eliminate(Elimination([], [], [], [], _MIN_SHIFT), map(zp_row, rows))
 
 
 def _eliminate(state, rows):
-    """The loop of ``forward_eliminate``: the Z[p] rows (fresh dicts of
-    tuples) eliminated into ``state``, which grows in place."""
+    """The loop of ``forward_eliminate`` and ``eliminate_copies``: the Z[p]
+    rows (fresh dicts of tuples) eliminated into ``state``, which grows in
+    place, so resume only from a state that nothing else keeps."""
     stored, pivots, index_of = state.stored, state.pivots, state.index_of
     for vec in rows:
         heap = [index_of[j] for j in vec.keys() & index_of.keys()]
@@ -928,16 +925,16 @@ def _split_tagged(tagged, m):
     return Subspace(m, tuple(meet_rows), tuple(meet_pivots)), left
 
 
-def kernel_rows(rows, cols):
-    """A basis of the right kernel {x : M x = 0} of the matrix with these
-    rows, not reduced: one vector per free column f of the reduced echelon
-    form, 1 at f and minus the echelon rows' entries in column f at their
-    pivots, built in one pass over the echelon rows."""
-    ech = echelonize(rows, cols)
+def kernel_rows(ech):
+    """A basis of the right kernel {x : M x = 0} of a matrix M, read off
+    the reduced echelon form ``ech`` of its rows (``echelonize`` or
+    ``row_space``) in one pass, with no elimination.  The basis is not
+    reduced: one vector per free column f, 1 at f and minus the echelon
+    rows' entries in column f at their pivots."""
     sample = next((v for r in ech.basis for v in r.values()), None)
     one = ONE if sample is None else sample**0
     pivot_set = set(ech.pivots)
-    vecs = {f: {f: one} for f in range(cols) if f not in pivot_set}
+    vecs = {f: {f: one} for f in range(ech.ambient) if f not in pivot_set}
     for p, row in zip(ech.pivots, ech.basis):
         for f, v in row.items():
             if f != p:  # a reduced row holds no other pivot
@@ -986,7 +983,8 @@ def commutant(gens, dim):
     k^(dim*dim); the commutant algebra dimension is its dim, which
     ``dim**2 - rank(commutant_equations(gens, dim))`` gives without a basis.
     """
-    return echelonize(kernel_rows(commutant_equations(gens, dim), dim * dim), dim * dim)
+    n = dim * dim
+    return echelonize(kernel_rows(echelonize(commutant_equations(gens, dim), n)), n)
 
 
 def lift_to_position(mat, i, n, d):

@@ -71,13 +71,11 @@ def memoised(fn):
     The owner is a HeckeOperator or a ``qalg.QuadraticAlgebra``; a run
     makes each once, so a memoised value is computed once per run and
     lives as long as the run.  The entry is keyed by the function's name
-    and arg, so two functions never share an entry.  The value is looked up
-    as ``owner.memo[key]`` and computed on ``KeyError``, so a memo may be a
-    dict whose ``__missing__`` finds the value elsewhere (``cli.Worker``
-    reads it from a forked child).  Only exact values are memoised, and
-    none is changed once kept: the elimination states of ``qalg`` and
-    ``schur`` are copied (``linalg.copy_state``, ``linalg.eliminate_copies``)
-    before the next degree resumes from them.
+    and arg, so two functions never share an entry.  Only exact values are
+    memoised, and none is changed once kept: the elimination states of
+    ``qalg`` and ``schur`` are copied (``linalg.copy_state``,
+    ``linalg.eliminate_copies``) before the next degree resumes from them,
+    and ``linalg.row_space`` back-substitutes in a copy.
     """
     name = fn.__name__
 
@@ -85,12 +83,9 @@ def memoised(fn):
     def wrapper(owner, arg):
         key = (name, arg)
         memo = owner.memo
-        try:
-            return memo[key]
-        except KeyError:
-            pass
-        value = memo[key] = fn(owner, arg)
-        return value
+        if key not in memo:
+            memo[key] = fn(owner, arg)
+        return memo[key]
 
     return wrapper
 

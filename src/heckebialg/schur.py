@@ -26,6 +26,7 @@ from functools import lru_cache
 from .exactnum import rf_eval_at_one
 from .linalg import (
     Matrix,
+    Subspace,
     commutant_equations,
     copy_state,
     echelonize,
@@ -34,6 +35,7 @@ from .linalg import (
     kernel_rows,
     pivot_columns,
     pivots_at_point,
+    row_space,
     rows_at_point,
 )
 from .qalg import algebra_by_key, graded_dimension
@@ -337,11 +339,10 @@ def bicommutant_check(op, n):
     The certificate takes P from the span's pivots at one point mod a
     prime (``linalg.pivots_at_point``): a maximal minor nonzero at the
     point is nonzero over Q(p), so the span restricted to P has exact rank
-    |P|.  E_P is built from c1's exact basis (``linalg.kernel_rows`` of
-    the commutant equations, one kernel vector per free column) evaluated
-    once at the point, and its rows stream into one elimination at the
-    point that stops at full rank; full rank there is full rank over
-    Q(p).  So the check passes with c2 = span and dim span = |P|, all
+    |P|.  E_P is built from c1's exact basis (``_centralizer_basis``)
+    evaluated once at the point, and its rows stream into one elimination
+    at the point that stops at full rank; full rank there is full rank
+    over Q(p).  So the check passes with c2 = span and dim span = |P|, all
     exact, and no matrix after the one that reaches full rank is read.  If
     the point hits a pole or falls short of full rank, the exact route
     runs: P the span's exact pivots (``linalg.pivot_columns``) and E_P's
@@ -351,7 +352,7 @@ def bicommutant_check(op, n):
     exact on both routes.
     """
     size = op.d**n
-    c1 = kernel_rows(commutant_equations([op.lifted(i, n) for i in range(1, n)], size), size * size)
+    c1 = _centralizer_basis(op, n)
     images = rho_basis(op, n)
     span_rows = [_vec_row(images[w]) for w in sorted(images)]
     pivots = pivots_at_point(span_rows)
@@ -365,6 +366,22 @@ def bicommutant_check(op, n):
     free, rows = _restricted_equations(c1, pivots, size)
     bicommutant = len(pivots) + free - echelonize(rows, free).dim
     return BicommutantReport(len(pivots), len(c1), bicommutant, bicommutant == len(pivots))
+
+
+def _centralizer_basis(op, n):
+    """A basis of c1, the commutant of the lifted generators on V^(x)n,
+    read off the reduced echelon form of its equations by
+    ``linalg.kernel_rows``: one vector per free column, in column order.
+
+    That form is ``row_space`` of ``_commutant_state``, the elimination
+    ``centralizer_dimension`` holds for the same degree, so the equations
+    of the n - 1 generators are not built again.  At n = 1 there are no
+    equations and the form is empty.
+    """
+    ambient = (op.d**n) ** 2
+    if n == 1:
+        return kernel_rows(Subspace(ambient, (), ()))
+    return kernel_rows(row_space(_commutant_state(op, n), ambient))
 
 
 def _restricted_equations(c1, pivots, size):

@@ -1,6 +1,5 @@
 """CLI behavior: sources, budgets, reports, schemas, exit codes."""
 
-import functools
 import json
 import os
 import subprocess
@@ -8,7 +7,6 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +15,6 @@ jsonschema = pytest.importorskip("jsonschema")
 from heckebialg import cli
 from heckebialg.cli import (
     CLIError,
-    Worker,
     builtin_operator,
     load_operator,
     main,
@@ -27,8 +24,7 @@ from heckebialg.cli import (
 )
 from heckebialg.exactnum import MAX_POWER_SIZE
 from heckebialg import linalg
-from heckebialg.rmatrix import dj_r_matrix, memoised, super_flip
-from test_qalg import dense_dj2
+from heckebialg.rmatrix import dj_r_matrix, super_flip
 
 SCHEMA_DIR = __file__.rsplit("/", 2)[0] + "/docs"
 
@@ -98,11 +94,22 @@ def test_bad_scalar_rejected():
         operator_from_document(doc)
 
 
-def test_wrong_shape_rejected():
+def test_wrong_shape_rejected(tmp_path, capsys):
     doc = operator_to_document(dj_r_matrix(2))
-    doc["entries"] = doc["entries"][:3]
-    with pytest.raises(CLIError, match="4x4"):
-        operator_from_document(doc)
+    rows = doc["entries"]
+    for entries, message in (
+        (rows[:3], "4x4"),
+        # the flip's rows as strings: read by character they would pass every axiom
+        (["1000", "0010", "0100", "0001"], "4x4"),
+        ([row[:2] + [0] + row[3:] if i == 1 else row for i, row in enumerate(rows)], r"entry \(1, 2\)"),
+    ):
+        doc["entries"] = entries
+        with pytest.raises(CLIError, match=message):
+            operator_from_document(doc)
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(doc))
+        assert run(["axioms", "--file", str(path)]) == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_zero_dimensional_document_rejected():
@@ -519,10 +526,16 @@ def test_bad_specialization(tmp_path, capsys):
 
 
 def test_budget_refusal(capsys):
-    code = run(["dims", "--builtin", "dj:2", "-a", "E", "-N", "8", "--max-dim", "100"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "budget" in err and "HBL_MAX_AMBIENT" in err
+    # refused partway, after the checks of the lower degrees ran; E(dj:3)
+    # in the report is refused at n = 4, ambient 6561
+    for args in (
+        ["dims", "--builtin", "dj:2", "-a", "E", "-N", "8", "--max-dim", "100"],
+        ["report", "--builtin", "dj:3", "-N", "5"],
+    ):
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert "over the budget" in captured.err and "HBL_MAX_AMBIENT" in captured.err
+        assert captured.out == ""
 
 
 def test_budget_env(monkeypatch, capsys):
@@ -630,7 +643,7 @@ def test_report_small(tmp_path):
     assert any(n.startswith("schur/") for n in names)
 
 
-def test_report_computes_each_dimension_once(monkeypatch, tmp_path):
+def test_report_computes_each_dimension_once(monkeypatch):
     # the dims, poincare, koszul and schur checks ask 35 times for dim A_n,
     # 20 times for dim (A^!)_n and 5 times for a centralizer.  The rows of
     # each algebra's relations are eliminated once, when it is built: 3
@@ -642,9 +655,8 @@ def test_report_computes_each_dimension_once(monkeypatch, tmp_path):
     # three distributing bases are certified at one point mod a prime and
     # take no exact rank.  The centralizer of degree 2 is one elimination
     # of its equations and that of degree 3 one of copies of it, 1 and 1 in
-    # schur.  Every call appends a line to a file, which the forked worker
-    # (it takes the double centralizers) would share
-    log = tmp_path / "eliminations"
+    # schur; the double centralizers read c1 off those two
+    calls = Counter()
     for module, name in (
         ("qalg", "forward_eliminate"),
         ("qalg", "eliminate_copies"),
@@ -655,189 +667,18 @@ def test_report_computes_each_dimension_once(monkeypatch, tmp_path):
         original = getattr(linalg, name)
 
         def counted(*args, tag=f"{module}.{name}", original=original):
-            with open(log, "a") as fh:
-                fh.write(tag + "\n")
+            calls[tag] += 1
             return original(*args)
 
         monkeypatch.setattr(f"heckebialg.{module}.{name}", counted)
     assert run(["report", "--builtin", "dj:2", "-N", "3"]) == 0
-    assert Counter(log.read_text().split()) == {
+    assert calls == {
         "qalg.forward_eliminate": 3,
         "qalg.eliminate_copies": 4,
         "qalg.rank": 3,
         "schur.forward_eliminate": 1,
         "schur.eliminate_copies": 1,
     }
-
-
-# ---------------------------------------------------------------------------
-# the centralizer worker
-
-
-def dense_dj2_file(tmp_path):
-    path = str(tmp_path / "dense-dj2.json")
-    save_operator(dense_dj2(), path)
-    return path
-
-
-def run_without_elapsed(args, tmp_path, capsys):
-    """(exit code, stdout, report with every elapsed dropped) of one run."""
-    out = str(tmp_path / "worker-report.json")
-    code = run(args + ["-o", out])
-    doc = read_report(out)
-    for check in doc["checks"]:
-        del check["elapsed"]
-    return code, capsys.readouterr().out, doc
-
-
-def no_children_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return True
-
-
-# each run kind and the forks it makes: one worker per run that has
-# centralizer values for it, none for any other
-WORKER_RUNS = {
-    "report-dj2-N3": (["report", "--builtin", "dj:2", "-N", "3"], 1),
-    "report-dj3-N2": (["report", "--builtin", "dj:3", "-N", "2"], 1),
-    "schur-dj2-n3": (["schur", "--builtin", "dj:2", "-n", "3"], 1),
-    "dims-dense-E-N3": (["dims", "--file", "{dense}", "-a", "E", "-N", "3"], 1),
-    "dims-dj2-S-N4": (["dims", "--builtin", "dj:2", "-a", "S", "-N", "4"], 0),
-    "dims-dj2-Edual-N3": (["dims", "--builtin", "dj:2", "-a", "Edual", "-N", "3"], 0),
-    "koszul-dj2-E-n3": (["koszul", "--builtin", "dj:2", "-a", "E", "-n", "3"], 0),
-    "poincare-dj2-N4": (["poincare", "--builtin", "dj:2", "-N", "4"], 0),
-    "axioms-dj2": (["axioms", "--builtin", "dj:2"], 0),
-}
-
-
-@pytest.mark.parametrize("name", list(WORKER_RUNS))
-def test_worker_runs_match_the_inline_runs(name, monkeypatch, tmp_path, capsys):
-    # without os.fork every value is computed inline; nothing else may differ
-    args, workers = WORKER_RUNS[name]
-    args = [dense_dj2_file(tmp_path) if a == "{dense}" else a for a in args]
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    forked = run_without_elapsed(args, tmp_path, capsys)
-    assert len(forks) == workers
-    monkeypatch.delattr(os, "fork")
-    assert run_without_elapsed(args, tmp_path, capsys) == forked
-    assert forked[0] == 0
-    assert no_children_left()
-
-
-def lost_in_the_worker(fn, how):
-    """``fn`` that raises or exits in any process but this one."""
-    parent = os.getpid()
-
-    def wrapped(*args):
-        if os.getpid() != parent:
-            if how == "raise":
-                raise RuntimeError("lost in the worker")
-            os._exit(1)
-        return fn(*args)
-
-    return wrapped
-
-
-@pytest.mark.parametrize("how", ["raise", "exit"])
-def test_a_lost_worker_costs_only_time(how, monkeypatch, tmp_path, capsys):
-    args = ["report", "--builtin", "dj:2", "-N", "3"]
-    expected = run_without_elapsed(args, tmp_path, capsys)
-    for name in ("centralizer_dimension", "bicommutant_check"):
-        monkeypatch.setattr(f"heckebialg.cli.{name}", lost_in_the_worker(getattr(cli, name), how))
-    assert run_without_elapsed(args, tmp_path, capsys) == expected
-    assert no_children_left()
-
-
-@memoised
-def pid(owner, n):
-    return os.getpid()
-
-
-@memoised
-def boom(owner, n):
-    raise ValueError("boom")
-
-
-@memoised
-def slow(owner, n):
-    time.sleep(60)
-    return os.getpid()
-
-
-def job(fn, owner, n):
-    """A worker job for the memoised ``fn(owner, n)``: its memo key and thunk."""
-    return (fn.__name__, n), functools.partial(fn, owner, n)
-
-
-def test_worker_raises_where_the_sequential_run_raises():
-    owner = SimpleNamespace(memo={})
-    with Worker(owner, [job(pid, owner, 1), job(boom, owner, 2), job(pid, owner, 3)]) as memo:
-        assert owner.memo is memo
-        assert pid(owner, 1) != os.getpid()
-        with pytest.raises(ValueError, match="boom"):
-            boom(owner, 2)
-        # the pipe ended at the raise: what the child did not send is computed here
-        assert pid(owner, 3) == os.getpid()
-    assert no_children_left()
-
-
-def test_the_memo_holds_what_the_worker_sent():
-    owner = SimpleNamespace(memo={("pid", 0): "kept"})
-    with Worker(owner, [job(pid, owner, n) for n in (1, 2, 3)] + [job(slow, owner, 5)]):
-        # a key no job names is computed here at once, not waited for
-        started = time.monotonic()
-        here = pid(owner, 4)
-        assert time.monotonic() - started < 30
-        assert here == os.getpid()
-        # asking for the last value reads every value before it
-        child = pid(owner, 3)
-        assert child != here
-        assert dict(owner.memo) == {
-            ("pid", 0): "kept",
-            ("pid", 1): child,
-            ("pid", 2): child,
-            ("pid", 3): child,
-            ("pid", 4): here,
-        }
-    assert no_children_left()
-
-
-def test_a_refused_fork_runs_every_job_here(monkeypatch):
-    def refused():
-        raise BlockingIOError("no process to spare")
-
-    monkeypatch.setattr(os, "fork", refused)
-    owner = SimpleNamespace(memo={})
-    with Worker(owner, [job(pid, owner, 1), job(pid, owner, 2)]):
-        assert (pid(owner, 2), pid(owner, 1)) == (os.getpid(), os.getpid())
-    assert no_children_left()
-
-
-def test_refusal_kills_and_reaps_the_worker(monkeypatch, capsys):
-    # E(dj:3) is refused at n = 4, long after the double-centralizer worker
-    # started; here that worker would sleep for a minute
-    parent = os.getpid()
-    check = cli.bicommutant_check
-
-    def slow(op, n):
-        if os.getpid() != parent:
-            time.sleep(60)
-        return check(op, n)
-
-    monkeypatch.setattr("heckebialg.cli.bicommutant_check", slow)
-    started = time.monotonic()
-    assert run(["report", "--builtin", "dj:3", "-N", "5"]) == 2
-    assert time.monotonic() - started < 30
-    assert "over the budget" in capsys.readouterr().err
-    assert no_children_left()
 
 
 def test_report_deterministic(tmp_path):
@@ -866,8 +707,7 @@ def test_console_entry_point():
 def test_import_leaves_out_dataclasses():
     # every hbl run is a fresh interpreter, so each module the import pulls
     # in adds to the start-up of every run.  Diffed against the bare
-    # interpreter, since site preloads modules on some machines; pickle and
-    # signal are the worker's, imported only when it forks
+    # interpreter, since site preloads modules on some machines
     src = os.path.dirname(os.path.dirname(cli.__file__))
     probe = "import sys; before = set(sys.modules); import heckebialg.cli; print(*set(sys.modules) - before)"
     proc = subprocess.run(

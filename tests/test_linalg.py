@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from heckebialg import linalg
-from heckebialg.exactnum import ONE, P, Q, ZERO, Scalar
+from heckebialg.exactnum import ONE, P, Q, ZERO, Scalar, zp_row
 from heckebialg.linalg import (
     Matrix,
     commutant,
@@ -379,15 +379,16 @@ def test_rank_matches_echelonize(case):
 @example(([{0: P, 1: ONE}, {1: P + 1}], 2), ([{0: ONE, 3: P}, {1: Q, 2: ONE}], 4), 2)
 def test_copied_state_resumes_like_one_elimination(case, extra, copies):
     # copies under c -> c * copies + j share no column, so their states stack
-    # with no elimination; resuming with more rows must span what all the
-    # rows span, and the state copied from stays as it was
+    # with no elimination; resuming with more rows (the loop that
+    # eliminate_copies runs) must span what all the rows span, and the
+    # state copied from stays as it was
     rows, _ = case
     more, _ = extra
     state = forward_eliminate(rows)
     kept = copy.deepcopy(state)
     start = copy_state(state, lambda c: c * copies, range(copies))
     assert len(start.pivots) == copies * len(state.pivots)
-    resumed = forward_eliminate(more, start)
+    resumed = linalg._eliminate(start, map(zp_row, more))
     assert state == kept
     moved = [{c * copies + j: v for c, v in row.items()} for j in range(copies) for row in rows]
     assert tuple(sorted(resumed.pivots)) == pivot_columns(moved + more)
@@ -514,7 +515,7 @@ def test_a_copy_widened_on_resuming_leaves_its_source_alone(case, extra, copies)
     more, _ = extra
     state = forward_eliminate(rows)
     kept = copy.deepcopy(state)
-    resumed = forward_eliminate(more, copy_state(state, lambda c: c * copies, range(copies)))
+    resumed = linalg._eliminate(copy_state(state, lambda c: c * copies, range(copies)), map(zp_row, more))
     assert state == kept
     moved = [{c * copies + j: v for c, v in row.items()} for j in range(copies) for row in rows]
     assert tuple(sorted(resumed.pivots)) == pivot_columns(moved + more)
@@ -576,8 +577,10 @@ def test_pivots_at_the_point_prove_only_what_they_see():
 @given(row_lists())
 def test_kernel_rows_are_a_basis_of_the_kernel(case):
     rows, ambient = case
-    vecs = kernel_rows(rows, ambient)
+    vecs = kernel_rows(echelonize(rows, ambient))
     assert len(vecs) == ambient - rank(rows) == rank(vecs)
+    # the same reduced form built fraction-free gives the same vectors
+    assert kernel_rows(row_space(forward_eliminate(rows), ambient)) == vecs
     for vec in vecs:
         for row in rows:
             assert not sum((v * vec[j] for j, v in row.items() if j in vec), 0 * ONE)
@@ -723,7 +726,7 @@ def test_rank_nullity():
     for _ in range(12):
         m = rand_matrix(rng, 5, 7)
         r = echelonize(m.data, 7).dim
-        kernel = echelonize(kernel_rows(m.data, 7), 7)
+        kernel = echelonize(kernel_rows(echelonize(m.data, 7)), 7)
         assert r + kernel.dim == 7
         # kernel vectors annihilate: M x = 0 read as rows of M dot x
         for vec in kernel.basis:

@@ -12,12 +12,14 @@ from heckebialg.linalg import (
     commutant,
     commutant_equations,
     echelonize,
+    kernel_rows,
     pivots_at_point,
     rank,
 )
 from heckebialg.qalg import build_e, graded_dimension
 from heckebialg.rmatrix import HeckeOperator, dj_r_matrix, flip_operator, rho_basis, super_flip
 from heckebialg.schur import (
+    _centralizer_basis,
     _unvec,
     _vec_row,
     bicommutant_check,
@@ -31,7 +33,7 @@ from heckebialg.schur import (
     sn_character_table,
 )
 from heckebialg.symhecke import all_permutations, cycle_type, length
-from test_qalg import RESUME_OPERATORS
+from test_qalg import RESUME_OPERATORS, dense_dj2
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +261,29 @@ def test_bicommutant_flip2():
     assert rep.hecke_span == 5
 
 
+# the operators and top degrees of the reference test for c1's basis
+CENTRALIZER_BASIS_CASES = {
+    "dj:2": (lambda: dj_r_matrix(2), 5),
+    "dj:3": (lambda: dj_r_matrix(3), 3),
+    "superflip:2|1": (lambda: super_flip(2, 1), 3),
+    "dense-dj2": (dense_dj2, 4),
+    "dense-dj2@p=3/2": (lambda: dense_dj2().specialize(Fraction(3, 2)), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(CENTRALIZER_BASIS_CASES))
+def test_centralizer_basis_is_the_kernel_of_all_the_equations(name):
+    # c1 read off the centralizer's elimination must be the kernel read from
+    # the reduced echelon form of the equations of all n - 1 lifted
+    # generators, vector for vector and in the same order
+    make, top = CENTRALIZER_BASIS_CASES[name]
+    op = make()
+    for n in range(1, top + 1):
+        size = op.d**n
+        equations = commutant_equations([op.lifted(i, n) for i in range(1, n)], size)
+        assert _centralizer_basis(op, n) == kernel_rows(echelonize(equations, size * size)), n
+
+
 def bicommutant_oracle(op, n):
     """(span, centralizer, bicommutant, ok) with the bicommutant built in full.
 
@@ -307,43 +332,44 @@ def test_bicommutant_matches_full_commutant_oracle(make, n):
     assert (rep.hecke_span, rep.centralizer, rep.bicommutant, rep.ok) == bicommutant_oracle(op, n)
 
 
+def equations_built_by_bicommutant(monkeypatch, op, n):
+    """The matrices whose commutant equations ``bicommutant_check(op, n)``
+    builds, each call's list, with the centralizer check run first, as
+    ``cmd_schur`` runs it, so that its elimination is held already."""
+    centralizer_dimension(op, n)
+    built = []
+
+    def counted(mats, size):
+        built.append(mats)
+        return commutant_equations(mats, size)
+
+    monkeypatch.setattr("heckebialg.schur.commutant_equations", counted)
+    return built, bicommutant_check(op, n)
+
+
 def test_bicommutant_builds_no_equations_past_full_rank(monkeypatch):
     # c1's basis matrices stream into the elimination one at a time, and
     # none after the one whose equations reach full rank is built: for
     # dj:3 at n = 3, 80 of the centralizer's 165 (one kernel vector per
-    # free column, in column order), with the oracle's verdict.  The one
-    # other call takes the two generators, whose equations c1 solves.
-    built, generators = [], []
-
-    def counted(mats, size):
-        (built if len(mats) == 1 else generators).append(mats)
-        return commutant_equations(mats, size)
-
-    monkeypatch.setattr("heckebialg.schur.commutant_equations", counted)
+    # free column, in column order), with the oracle's verdict.  c1 comes
+    # from the centralizer's elimination, so no other equations are built.
     op = dj_r_matrix(3)
-    rep = bicommutant_check(op, 3)
+    built, rep = equations_built_by_bicommutant(monkeypatch, op, 3)
     assert (rep.hecke_span, rep.centralizer, rep.bicommutant, rep.ok) == bicommutant_oracle(op, 3)
     assert (len(built), rep.centralizer) == (80, 165)
-    assert [len(mats) for mats in generators] == [2]
+    assert {len(mats) for mats in built} == {1}
 
 
 def test_the_exact_route_builds_no_equations_past_full_rank(monkeypatch):
     # at p = 0, a pole of c1, the exact route counts E_P by an elimination
     # that stops at full rank too: the same 80 matrices of dj:3 at n = 3
-    built = []
-
-    def counted(mats, size):
-        if len(mats) == 1:
-            built.append(mats)
-        return commutant_equations(mats, size)
-
-    monkeypatch.setattr("heckebialg.schur.commutant_equations", counted)
     streamed = exact_streams(monkeypatch)
     monkeypatch.setattr(linalg, "POINT", 0)
     op = dj_r_matrix(3)
-    rep = bicommutant_check(op, 3)
+    built, rep = equations_built_by_bicommutant(monkeypatch, op, 3)
     assert (rep.hecke_span, rep.centralizer, rep.bicommutant, rep.ok) == bicommutant_oracle(op, 3)
     assert (len(built), streamed) == (80, [3**6 - rep.hecke_span])
+    assert {len(mats) for mats in built} == {1}
 
 
 def exact_streams(monkeypatch):
