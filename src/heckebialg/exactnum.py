@@ -14,9 +14,11 @@ and fast.
 Products and sums are memoised on the operands' ``(num, den)`` tuples.  The
 operands are canonical, so one key always stands for one value, and a cache
 hit returns exactly what the computation would: memoising changes no
-result.  It pays because an elimination over lifted relations meets the
-same few coefficients many times (a degree-4 Koszul closure repeats each
-product about 80 times).  The caches are bounded LRU caches, together with
+result.  It pays because an elimination meets the same few coefficients
+many times: after each of the 14 jobs of ``perfbench`` the sum, product
+and gcd caches answer 28-100%, 49-100% and 45-94% of their calls (93%,
+96% and 94% on ``report --builtin dj:3 -N 3``, least on the dense files).
+The caches are bounded LRU caches, together with
 the one on ``_pgcd``, all of one size ``_CACHE_SIZE``: a dense operator
 file has little reuse, and unbounded caches there more than double the
 peak memory of a run.

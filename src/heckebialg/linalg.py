@@ -104,6 +104,14 @@ double centralizer in ``schur``, the distributing basis in ``qalg``) then
 fall back to their exact eliminations: no verdict rests on the point
 being generic.  ``POINT`` is a constant, so every run gives the same
 reports.
+
+Every tensor copy V^a (x) U (x) V^b is ``embed``: with the basis
+lexicographic, first factor most significant, the copy (x, s) of a row of
+U in k^width sends column c to (x * width + c) * suf + s.  The lifted
+operators (``lift_to_position``), the staircase projector's P (x) 1 and
+the relation spaces and dual components ``qalg`` places in a degree all
+go through it; ``lift_rows`` keeps its own loop, as the tests' independent
+route.
 """
 
 import heapq
@@ -133,6 +141,7 @@ __all__ = [
     "kernel_rows",
     "commutant_equations",
     "commutant",
+    "embed",
     "lift_to_position",
     "lift_rows",
     "specialize_matrix",
@@ -987,29 +996,26 @@ def commutant(gens, dim):
     return echelonize(kernel_rows(echelonize(commutant_equations(gens, dim), n)), n)
 
 
-def lift_to_position(mat, i, n, d):
-    """Embed an operator on V(x)V as position (i, i+1) of V^(x)n.
+def embed(rows, pre, width, suf):
+    """The rows of V^a (x) U (x) V^b, U spanned by ``rows`` in k^width, for
+    pre = dim V^a and suf = dim V^b: the copy (x, s) of a row sends column
+    c to (x * width + c) * suf + s (lexicographic basis, first factor most
+    significant).  Copies come by x, then row, then s, so for the rows of a
+    square M they are the rows of 1 (x) M (x) 1.  They share no column, so
+    copies of a reduced echelon basis are again one, sorted by pivot."""
+    return [
+        {(x * width + c) * suf + s: v for c, v in row.items()}
+        for x in range(pre)
+        for row in rows
+        for s in range(suf)
+    ]
 
-    Basis of V^(x)n is lexicographic in the multi-index, first factor most
-    significant.  1 <= i <= n-1.
-    """
+
+def lift_to_position(mat, i, n, d):
+    """Embed an operator on V(x)V as position (i, i+1) of V^(x)n, 1 <= i <= n-1."""
     assert mat.rows == d * d and mat.cols == d * d
     assert 1 <= i <= n - 1
-    pre = d ** (i - 1)
-    suf = d ** (n - i - 1)
-    size = d**n
-    data = [dict() for _ in range(size)]
-    for rc in range(d * d):
-        row_entries = mat.data[rc]
-        if not row_entries:
-            continue
-        for a in range(pre):
-            base_r = (a * d * d + rc) * suf
-            for cc, v in row_entries.items():
-                base_c = (a * d * d + cc) * suf
-                for s in range(suf):
-                    data[base_r + s][base_c + s] = v
-    return Matrix(size, size, data)
+    return Matrix(d**n, d**n, embed(mat.data, d ** (i - 1), d * d, d ** (n - i - 1)))
 
 
 def lift_rows(basis_rows, i, n, d):

@@ -17,9 +17,10 @@ D_n.  Each degree is built from the one below (Polishchuk and Positselski,
 D_n = (D_(n-1) (x) V) & (V^(n-2) (x) R).  Tensoring with V on the right
 copies a space into m blocks of columns that share none, so it costs no
 elimination: the forward elimination of I_n resumes from m copies of that
-of I_(n-1) (``linalg.copy_state``), and D_n is one intersection of the
-copies of D_(n-1) with the last lift.  Of the last lift I_n takes in only
-C (x) R, C the unit vectors off the pivot columns of I_(n-2): they
+of I_(n-1) (``linalg.copy_state``), and D_n is one intersection of
+D_(n-1) (x) V with the last lift, both placed by ``_placed``.  Of the
+last lift I_n takes in only C (x) R, C the unit vectors off the pivot
+columns of I_(n-2): they
 complete I_(n-2) to V^(n-2), so V^(n-2) (x) R = I_(n-2) (x) R + C (x) R,
 and I_(n-2) (x) R lies in I_(n-2) (x) V (x) V, which lies in
 I_(n-1) (x) V.  So I_n = (I_(n-1) (x) V) + (C (x) R) for every quadratic
@@ -30,9 +31,10 @@ algebra.  No basis of I_n is built, and the top degree of D_n needs only
 a rank, of the remainders of the copies modulo the last lift.
 
 One run asks for the same value from several checks, so ``algebra_by_key``,
-``relation_lifts``, ``graded_dimension`` and ``dual_graded_dimension`` (and
-``schur.centralizer_dimension``, ``schur.bicommutant_check`` and
-``rmatrix.cycle_trace``) are ``rmatrix.memoised``: each value is kept in
+``relation_lifts``, ``_placed``, ``graded_dimension`` and
+``dual_graded_dimension`` (and ``schur.centralizer_dimension``,
+``schur.bicommutant_check`` and ``rmatrix.cycle_trace``) are
+``rmatrix.memoised``: each value is kept in
 the ``memo`` of the operator or algebra it is computed from.  A run makes
 its operator once, so a value is computed once per run and lives as long
 as the run; each function keeps its own entries, so routes stay
@@ -78,8 +80,8 @@ the B_i under an injective map that preserves sum and meet; a lattice of
 sets is distributive, so the lattice is too.  B is built from the meets
 X_I of the generators (``distributing_basis``); its cost grows with the
 2^k subsets, not with the lattice.  A meet of consecutive generators,
-X_i & ... & X_j, is V^(i-1) (x) D_(j-i+2) (x) V^(n-j-1), column copies of
-a dual component, so only the other meets are intersected.  The vectors
+X_i & ... & X_j, is V^(i-1) (x) D_(j-i+2) (x) V^(n-j-1), a dual component
+placed by ``_placed``, so only the other meets are intersected.  The vectors
 in no generator number dim A_n and those in all of them dim (A^!)_n,
 which the report compares with the ranks.
 
@@ -102,6 +104,7 @@ from .linalg import (
     Subspace,
     copy_state,
     eliminate_copies,
+    embed,
     forward_eliminate,
     pivot_columns,
     pivots_at_point,
@@ -187,19 +190,9 @@ def algebra_by_key(op, key):
 @memoised
 def relation_lifts(algebra, n):
     """R_i^n(A) = V^(i-1) (x) R (x) V^(n-i-1) for i = 1..n-1, as
-    echelonized subspaces of m^n (``_embed``: no elimination)."""
-    if n < 2:
-        return ()
-    m = algebra.generators
-    lifts = tuple(_embed(algebra.relations, m ** (i - 1), m ** (n - i - 1)) for i in range(1, n - 1))
-    return lifts + (_last_lift(algebra, n),)
-
-
-@memoised
-def _last_lift(algebra, n):
-    """R_(n-1)^n(A) = V^(n-2) (x) R: the one lift the degree-n dual takes
-    in beyond the copies of degree n-1."""
-    return _embed(algebra.relations, algebra.generators ** (n - 2), 1)
+    echelonized subspaces of m^n: the one-generator interval meets
+    (``_placed``, no elimination)."""
+    return tuple(_placed(algebra, (n, i, 2)) for i in range(n - 1))
 
 
 @memoised
@@ -251,51 +244,46 @@ def dual_graded_dimension(algebra, n):
     """
     if n < 2:
         return 1 if n == 0 else algebra.generators
-    last = _last_lift(algebra, n)
     if n == 2:
-        return last.dim
-    head = _embed(dual_component(algebra, n - 1), 1, algebra.generators)
+        return algebra.relations.dim
+    head, last = _placed(algebra, (n, 0, n - 1)), _placed(algebra, (n, n - 2, 2))
     return head.dim - rank([last.reduce_vector(row) for row in head.basis])
 
 
 @memoised
 def dual_component(algebra, n):
-    """D_n, the subspace whose dimension is dim (A^!)_n, for n >= 2: one
-    intersection with the last lift of the copies of D_(n-1)."""
+    """D_n, the subspace whose dimension is dim (A^!)_n, for n >= 2: R for
+    n = 2, and beyond it one intersection of D_(n-1) (x) V with the last
+    lift V^(n-2) (x) R."""
     assert n >= 2
-    last = _last_lift(algebra, n)
     if n == 2:
-        return last
-    return subspace_intersect(_embed(dual_component(algebra, n - 1), 1, algebra.generators), last)
+        return algebra.relations
+    return subspace_intersect(_placed(algebra, (n, 0, n - 1)), _placed(algebra, (n, n - 2, 2)))
 
 
-def _embed(sub, pre, suf):
-    """V^a (x) sub (x) V^b, for pre = m^a and suf = m^b.  Its reduced
-    echelon basis is pre * suf copies of sub's, the copy (x, s) sending
-    column c to (x * width + c) * suf + s: the copies share no column, so
-    no copy holds another's pivots, and the rows come out sorted by pivot."""
-    width = sub.ambient
-    rows = tuple(
-        {(x * width + c) * suf + s: v for c, v in row.items()}
-        for x in range(pre)
-        for row in sub.basis
-        for s in range(suf)
-    )
-    pivots = tuple((x * width + p) * suf + s for x in range(pre) for p in sub.pivots for s in range(suf))
-    return Subspace(pre * width * suf, rows, pivots)
+@memoised
+def _placed(algebra, key):
+    """V^i (x) D_k (x) V^(n-i-k) in degree n, for key = (n, i, k) and D_k
+    the ``dual_component`` (D_2 = R).  Its reduced echelon basis is the
+    copies of D_k's (``linalg.embed``): the copies share no column, so
+    copies of a reduced echelon basis are again reduced echelon, sorted by
+    pivot, with no elimination.  Each row's pivot is its first column."""
+    n, i, k = key
+    m = algebra.generators
+    inner = dual_component(algebra, k)
+    rows = tuple(embed(inner.basis, m**i, inner.ambient, m ** (n - i - k)))
+    return Subspace(m**n, rows, tuple(map(min, rows)))
 
 
 def _interval_meets(algebra, n):
     """The meets X_i & ... & X_j (i < j) of the shifted relations of degree
     n, by the bitmask of their generators, with no elimination: each is
-    V^(i-1) (x) D_(j-i+2) (x) V^(n-j-1), a copy of ``dual_component``."""
-    m = algebra.generators
-    meets = {}
-    for i in range(n - 1):
-        for j in range(i + 1, n - 1):
-            mask = (1 << (j + 1)) - (1 << i)
-            meets[mask] = _embed(dual_component(algebra, j - i + 2), m**i, m ** (n - j - 2))
-    return meets
+    V^(i-1) (x) D_(j-i+2) (x) V^(n-j-1), placed by ``_placed``."""
+    return {
+        (1 << (j + 1)) - (1 << i): _placed(algebra, (n, i, j - i + 2))
+        for i in range(n - 1)
+        for j in range(i + 1, n - 1)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -21,22 +21,25 @@ trace (a cycle trace p_k, a class value for the multiplicities) costs one
 word product, not the n! matrices of ``rho_basis``.
 
 ``matrix_space_operator`` transports R to W = V* (x) V (the degree-one part
-of the coordinate space of matrices); the result satisfies the braid
-relation but generally not the quadratic one.  ``staircase_projector``
-builds the q-averaged projector family P_n(S) by the staircase recursion of
-the q-symmetrizer.  For S = -Rbar its image is the intersection of the
-shifted images of S, the degree-n dual component; the library takes dual
-graded dimensions from ``qalg.dual_component`` instead, and the projector
-image is the tests' independent route to them.  For S = R it is the
-represented symmetrizer, whose trace ``staircase_projector_trace`` gives
-without building all of S_n.
+of the coordinate space of matrices), as Rinv^T (x) R with its factors
+regrouped; the result satisfies the braid relation but generally not the
+quadratic one.  ``staircase_projector`` builds the q-averaged projector
+family P_n(S) by the staircase recursion of the q-symmetrizer.  For S =
+-Rbar its image is the intersection of the shifted images of S, the
+degree-n dual component; the library takes dual graded dimensions from
+``qalg.dual_component`` instead, and the projector image is the tests'
+independent route to them.  For S = R it is the represented symmetrizer,
+whose trace ``staircase_projector_trace`` gives without building all of
+S_n.  The lifts R_i and the staircase's P (x) 1 are tensor copies,
+``linalg.embed``.
 """
 
 import functools
 from fractions import Fraction
+from itertools import product
 
 from .exactnum import ONE, P, Q, Scalar, ZERO, q_int, scalar
-from .linalg import Matrix, lift_to_position, specialize_matrix
+from .linalg import Matrix, embed, lift_to_position, specialize_matrix
 from .symhecke import (
     HeckeElement,
     adjacent_transposition,
@@ -340,8 +343,9 @@ def matrix_space_operator(op):
 
     On W (x) W = V* (x) V (x) V* (x) V, regroup the two dual factors and the
     two plain factors, act by the transpose-inverse on the dual pair and by
-    R on the plain pair, and regroup back.  Entrywise, with W-index
-    (a, i) = a*d + i,
+    R on the plain pair, and regroup back: Rinv^T (x) R (``Matrix.kron``)
+    with rows and columns moved from ((a,b),(i,j)) to ((a,i),(b,j)).
+    Entrywise, with W-index (a, i) = a*d + i,
 
         Rbar[(a,i),(b,j) ; (a',i'),(b',j')] = Rinv[(a',b'),(a,b)] * R[(i,j),(i',j')].
 
@@ -349,28 +353,12 @@ def matrix_space_operator(op):
     three roots in general, so it is returned as a plain braid operator.
     """
     d = op.d
-    rinv_t = op.inverse_matrix().transpose()
-    r = op.R
     size = d**4
-    data = [dict() for _ in range(size)]
-    dd = d * d
-    for ra in range(dd):
-        arow = rinv_t.data[ra]
-        if not arow:
-            continue
-        a, b = divmod(ra, d)
-        for rb in range(dd):
-            brow = r.data[rb]
-            if not brow:
-                continue
-            i, j = divmod(rb, d)
-            row = (a * d + i) * dd + (b * d + j)
-            tgt = data[row]
-            for ca, va in arow.items():
-                ap, bp = divmod(ca, d)
-                for cb, vb in brow.items():
-                    ip, jp = divmod(cb, d)
-                    tgt[(ap * d + ip) * dd + (bp * d + jp)] = va * vb
+    kron = op.inverse_matrix().transpose().kron(op.R)
+    # kron is indexed ((a,b),(i,j)); the regrouping swaps the middle two
+    # factors, so it is its own inverse and one index list moves rows and columns
+    source = [((a * d + b) * d + i) * d + j for a, i, b, j in product(range(d), repeat=4)]
+    data = [{source[c]: v for c, v in kron.data[k].items()} for k in source]
     return HeckeOperator(
         d * d, Matrix(size, size, data), op.q, f"{op.name}::matrix-space",
         specialized_at=op.specialized_at,
@@ -403,7 +391,7 @@ def staircase_projector(s_op, n, q, dim):
     proj = Matrix.identity(dim)
     for m in range(2, n + 1):
         chain = _staircase_chain(s_op, m, dim)
-        lifted = proj.kron(Matrix.identity(dim))
+        lifted = Matrix(proj.rows * dim, proj.cols * dim, embed(proj.data, 1, proj.cols, dim))
         proj = (lifted * chain).scale(ONE / q_int(m, q))
     return proj
 

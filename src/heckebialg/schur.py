@@ -6,6 +6,15 @@ rank computation and the multiplicity formula sum m_lambda^2.  The m_lambda
 come from evaluating traces at q = 1 against the ordinary symmetric-group
 character table, computed here by the Murnaghan-Nakayama rule on beta-sets.
 
+The relations of E are the FRT relations R T1 T2 = T2 T1 R: the commutant
+equations of R, X[(r1,r2),(c1,c2)] moved to the W (x) W index
+(c1 d + r1) d^2 + (c2 d + r2), span Im(Rbar - 1).  So the equations of
+the lifted generators on V^(x)n, columns moved alike, span the relation
+sum I_n of E in W^(x)n, and ``centralizer_dimension`` and the direct rank
+of E rank one subspace from two spanning sets in two column orders: they
+cross-check the construction of Rbar and the elimination engine.  The
+multiplicities are the route that carries Schur-Weyl duality.
+
 The double centralizer (q-Schur-Weyl duality) says the span of the
 represented Hecke algebra is the commutant of that commutant.  The span
 always lies in the bicommutant, so ``bicommutant_check`` needs only a rank:
@@ -277,7 +286,7 @@ def _commutant_state(op, n):
     """
     d, size = op.d, op.d**n
     if n == 2:
-        return forward_eliminate(commutant_equations([op.lifted(1, 2)], size))
+        return forward_eliminate(commutant_equations([op.R], size))
     prev, sq = size // d, d * d
 
     def spread(k):

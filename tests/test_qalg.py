@@ -3,6 +3,7 @@
 import copy
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,6 +12,7 @@ from heckebialg.exactnum import ONE, P, ZERO, Scalar
 from heckebialg import linalg
 from heckebialg.linalg import (
     Matrix,
+    commutant_equations,
     echelonize,
     forward_eliminate,
     lift_rows,
@@ -277,6 +279,41 @@ def test_interval_meets_are_the_intersections_they_copy(make, build):
                 acc = subspace_intersect(acc, lifts[j])
                 intersected[(1 << (j + 1)) - (1 << i)] = acc
         assert _interval_meets(algebra, n) == intersected, n
+
+
+# the operators above and two more q = 1 operators
+FRT_OPERATORS = {
+    **{name: make for name, (make, _) in RESUME_OPERATORS.items()},
+    "superflip:2|1": lambda: super_flip(2, 1),
+    "flip:3": lambda: flip_operator(3),
+}
+
+
+@pytest.mark.parametrize("name", list(FRT_OPERATORS))
+def test_e_relations_are_the_frt_relations(name):
+    # Im(Rbar - 1) is spanned by the FRT relations R T1 T2 = T2 T1 R: the
+    # commutant equations of R, X[(r1,r2),(c1,c2)] read at the W (x) W index
+    # (c1 d + r1) d^2 + (c2 d + r2), with no Rinv and no regrouped kron
+    op = FRT_OPERATORS[name]()
+    d, sq = op.d, op.d * op.d
+
+    def place(k):
+        (r1, r2), (c1, c2) = (divmod(x, d) for x in divmod(k, sq))
+        return (c1 * d + r1) * sq + c2 * d + r2
+
+    rows = [{place(k): v for k, v in row.items()} for row in commutant_equations([op.R], sq)]
+    assert echelonize(rows, sq * sq) == build_e(op).relations
+
+
+def test_matrix_space_operator_matches_its_entry_formula():
+    # Rbar[(a,i),(b,j); (a',i'),(b',j')] = Rinv[(a',b'),(a,b)] * R[(i,j),(i',j')]
+    op = dense_dj2()
+    d, sq = op.d, op.d * op.d
+    rinv, rbar = op.inverse_matrix(), matrix_space_operator(op).R
+    for a, i, b, j, a2, i2, b2, j2 in product(range(d), repeat=8):
+        expected = rinv.entry(a2 * d + b2, a * d + b) * op.R.entry(i * d + j, i2 * d + j2)
+        assert rbar.entry((a * d + i) * sq + b * d + j, (a2 * d + i2) * sq + b2 * d + j2) == expected
+    assert all(v for row in rbar.data for v in row.values())  # no stored zeros
 
 
 def test_a_state_is_unchanged_after_a_higher_degree_resumes_from_it():
